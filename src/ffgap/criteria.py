@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .coarse_grain import (
     EffectiveModel1D,
@@ -32,7 +32,7 @@ from .coefficients import (
     threshold_2d,
     weight_table,
 )
-from .lattice import collar_centers, patch, plaquette_set
+from .lattice import collar_centers, patch, plaquette_set, rhomboid_sites
 from .models import random_cell_2d, random_ff
 from .operators import (
     ChainModel,
@@ -43,13 +43,12 @@ from .operators import (
     enlarged_hamiltonian,
     patch_operator,
     q_and_f,
-    subchain_operator,
     subchain_support_operator,
 )
-from .spectra import GapProfile, gap_profile, psd_margin, spectral_gap
+from .spectra import PSD_DENSE_CUTOFF, GapProfile, gap_profile, spectral_gap
 
 SCHEMA_VERSION = 1
-_DENSE_SUITE_CUTOFF = 4096
+_INTERCHANGE_SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -387,24 +386,15 @@ def hsquared_identity_residual(model: ChainModel, m: int) -> float:
     return diff.frobenius_norm() / H2.frobenius_norm()
 
 
-def interchange_residual(model: ChainModel, m: int, n: int, coeffs: Deformation1D) -> float:
-    """Relative residual of sum_l B_{n,l} = (sum_j c_j) H (assembled)."""
-    total = SparseHermitianOperator.zero(model.d ** (m + 1))
-    for l in range(1, m + 2):
-        total = total + subchain_operator(model, m, n, l, coeffs)
-    target = sum(coeffs.c) * enlarged_hamiltonian(model, m)
-    return (total - target).frobenius_norm() / target.frobenius_norm()
-
-
-def interchange_residual_matfree(
-    model: ChainModel, m: int, n: int, coeffs: Deformation1D, seed: int, samples: int = 5
+def interchange_residual(
+    model: ChainModel, m: int, n: int, coeffs: Deformation1D, seed: int = 0
 ) -> float:
-    """Vector-sampled version of the interchange identity for large spaces."""
+    """Relative residual of sum_l B_{n,l} = (sum_j c_j) H on random vectors."""
     applier = EnlargedChainApplier(model, m)
     rng = np.random.default_rng((seed, 0xB0))
     worst = 0.0
     total_c = sum(coeffs.c)
-    for _ in range(samples):
+    for _ in range(_INTERCHANGE_SAMPLES):
         v = rng.standard_normal(applier.dim) + 1j * rng.standard_normal(applier.dim)
         v /= np.linalg.norm(v)
         lhs = np.zeros_like(v)
@@ -428,47 +418,35 @@ def rewrite_margin(
 
     The inequality bounds sum_l B_{n,l}^2 by (sum c^2) H + (sum c c') (Q+F);
     the margin is the least eigenvalue of the difference and the scale is
-    the largest eigenvalue of the dominating side.
+    the largest eigenvalue of the dominating side. Both come from Lanczos
+    on matrix-free operators: each matvec applies every term once for the
+    term images, once more for (Q+F), and once more per window for B^2.
     """
     if not 3 <= n <= m / 2:
         raise ValueError(f"need 3 <= n <= m/2, got n={n}, m={m}")
     sum_c2, sum_cc = _coefficient_sums(coeffs.c)
-    dim = model.d ** (m + 1)
-    if dim <= _DENSE_SUITE_CUTOFF:
-        H = enlarged_hamiltonian(model, m)
-        Q, F = q_and_f(model, m)
-        rhs = sum_c2 * H + sum_cc * (Q + F)
-        diff = rhs
-        for l in range(1, m + 2):
-            B = subchain_operator(model, m, n, l, coeffs)
-            diff = diff - (B @ B)
-        scale = max(1.0, float(np.linalg.eigvalsh(rhs.toarray())[-1]))
-        margin = float(np.linalg.eigvalsh(diff.assert_hermitian().toarray())[0])
-        return margin, scale
-
     applier = EnlargedChainApplier(model, m)
+    dim = applier.dim
     c = coeffs.c
 
+    def rhs_of(images):
+        return sum_c2 * np.sum(images, axis=0) + sum_cc * applier.apply_q_plus_f(images)
+
     def rhs_matvec(v):
-        v = np.asarray(v, dtype=np.complex128).ravel()
-        qv, fv = applier.apply_q_and_f(v)
-        return sum_c2 * applier.apply_hamiltonian(v) + sum_cc * (qv + fv)
+        return rhs_of(applier.term_images(np.asarray(v, dtype=np.complex128).ravel()))
 
     def diff_matvec(v):
-        v = np.asarray(v, dtype=np.complex128).ravel()
-        out = rhs_matvec(v)
+        images = applier.term_images(v)
+        out = rhs_of(images)
         for l in range(1, m + 2):
-            bv = applier.apply_window(l, c, v)
-            out -= applier.apply_window(l, c, bv)
+            out -= applier.apply_window(l, c, applier.window_from_images(l, c, images))
         return out
 
     rng = np.random.default_rng((seed, 0xA1))
     v0 = rng.standard_normal(dim)
     rhs_op = LinearOperator((dim, dim), matvec=rhs_matvec, dtype=np.complex128)
-    from scipy.sparse.linalg import eigsh as _eigsh
-
     lam_rhs = float(
-        _eigsh(rhs_op, k=1, which="LA", return_eigenvectors=False, tol=1e-6, v0=v0)[0]
+        eigsh(rhs_op, k=1, which="LA", return_eigenvectors=False, tol=1e-6, v0=v0)[0]
     )
     scale = max(1.0, lam_rhs)
     # smallest eigenvalue via the shifted operator c - D, whose target
@@ -482,7 +460,7 @@ def rewrite_margin(
 
     shifted_op = LinearOperator((dim, dim), matvec=shifted_matvec, dtype=np.complex128)
     lam_top = float(
-        _eigsh(shifted_op, k=1, which="LA", return_eigenvectors=False, tol=eigsh_tol, v0=v0)[0]
+        eigsh(shifted_op, k=1, which="LA", return_eigenvectors=False, tol=eigsh_tol, v0=v0)[0]
     )
     margin = shift - lam_top
     return margin, scale
@@ -544,11 +522,7 @@ def verify_chain_instance(
     record["identity_residual"] = identity
     record["identity_pass"] = identity <= config.identity_rtol
 
-    inter = (
-        interchange_residual(model, config.margin_m, n, coeffs)
-        if model.d ** (config.margin_m + 1) <= _DENSE_SUITE_CUTOFF
-        else interchange_residual_matfree(model, config.margin_m, n, coeffs, seed)
-    )
+    inter = interchange_residual(model, config.margin_m, n, coeffs, seed)
     record["interchange_residual"] = inter
     record["interchange_pass"] = inter <= config.identity_rtol
 
@@ -592,6 +566,12 @@ def prop2d_margin(
     rhomboid's metaspin space, summing patches at every collar center.
     """
     eff = effective if effective is not None else effective_2d(cell, cell.R)
+    dim = eff.metaspin_dim ** len(rhomboid_sites(m1, m2, eff.R)[1])
+    if dim > PSD_DENSE_CUTOFF:
+        raise ValueError(
+            f"2D margin check requires a dense-diagonalizable rhomboid, got dim {dim} "
+            f"> {PSD_DENSE_CUTOFF}"
+        )
     wt = weight_table(n)
     c2d = coeffs_2d(n)
     H = plaquette_model_hamiltonian(eff, m1, m2)
@@ -603,9 +583,7 @@ def prop2d_margin(
         B = patch_operator(eff.h_plaquette.matrix, pt, c2d, eff.metaspin_dim)
         total_b2 = total_b2 + (B @ B)
     diff = (H @ H) + wt.beta * H - wt.alpha * total_b2
-    lam_h = float(np.linalg.eigvalsh(H.toarray())[-1]) if H.dim <= _DENSE_SUITE_CUTOFF else None
-    if lam_h is None:
-        raise ValueError("2D margin check requires a dense-diagonalizable rhomboid")
+    lam_h = float(np.linalg.eigvalsh(H.toarray())[-1])
     scale = max(1.0, lam_h ** 2 + wt.beta * lam_h)
     margin = float(np.linalg.eigvalsh(diff.assert_hermitian().toarray())[0])
     return {

@@ -388,34 +388,6 @@ def cyclic_distance(i: int, j: int, period: int) -> int:
     return min(diff, period - diff)
 
 
-def subchain_operator(
-    model: ChainModel,
-    m: int,
-    n: int,
-    l: int,
-    coeffs: Deformation1D | None = None,
-) -> SparseHermitianOperator:
-    """Windowed sum of n-1 consecutive cyclic terms starting at position l.
-
-    Without coefficients this is the subchain Hamiltonian A_{n,l}; with a
-    deformation it is B_{n,l} = sum_j c_{j-l} h_j, j = l..l+n-2 (indices
-    cyclic with period m+1). Built on the enlarged (m+1)-site space.
-    """
-    if not 1 <= n <= m / 2:
-        raise ValueError(f"need 1 <= n <= m/2, got n={n}, m={m}")
-    if not 1 <= l <= m + 1:
-        raise ValueError(f"window start {l} outside [1, {m + 1}]")
-    if coeffs is not None and len(coeffs.c) != n - 1:
-        raise ValueError(f"expected {n - 1} coefficients, got {len(coeffs.c)}")
-    terms = enlarged_terms(model, m)
-    total = SparseHermitianOperator.zero(model.d ** (m + 1))
-    for offset in range(n - 1):
-        j = (l + offset - 1) % (m + 1)  # 0-based index into terms
-        weight = coeffs.c[offset] if coeffs is not None else 1.0
-        total = total + weight * terms[j]
-    return total.assert_hermitian()
-
-
 def q_and_f(
     model: ChainModel, m: int
 ) -> tuple[SparseHermitianOperator, SparseHermitianOperator]:
@@ -555,23 +527,27 @@ class EnlargedChainApplier:
             out += weight * self.apply_term(l + offset, v)
         return out
 
-    def apply_q_and_f(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Q v, F v) computed from one set of term images."""
-        images = self.term_images(v)
-        p = self.sites
-        qv = np.zeros_like(v)
-        for j in range(1, p + 1):
-            right = images[j % p]
-            left = images[(j - 2) % p]
-            qv += self.apply_term(j, left + right)
-        fv = np.zeros_like(v)
-        for i in range(1, p + 1):
-            far = np.zeros_like(v)
-            for j in range(1, p + 1):
-                if cyclic_distance(i, j, p) >= 2:
-                    far += images[j - 1]
-            fv += self.apply_term(i, far)
-        return qv, fv
+    def window_from_images(
+        self, l: int, c: tuple[float, ...], images: list[np.ndarray]
+    ) -> np.ndarray:
+        """The deformed window sum starting at position l, from ``term_images(v)``."""
+        out = np.zeros_like(images[0])
+        for offset, weight in enumerate(c):
+            out += weight * images[(l + offset - 1) % self.sites]
+        return out
+
+    def apply_q_plus_f(self, images: list[np.ndarray]) -> np.ndarray:
+        """(Q+F)v from the term images ``term_images(v)``.
+
+        Q+F is the sum of h_i h_j over all ordered pairs i != j, so with
+        T v = sum_j h_j v it is sum_i h_i (T v - h_i v): one more
+        application per term.
+        """
+        total = np.sum(images, axis=0)
+        out = np.zeros_like(total)
+        for j, image in enumerate(images, start=1):
+            out += self.apply_term(j, total - image)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ffgap import criteria
 from ffgap.coefficients import (
@@ -25,15 +26,49 @@ from ffgap.criteria import (
     chiral_exclusion,
     hsquared_identity_residual,
     interchange_residual,
-    interchange_residual_matfree,
+    prop2d_margin,
     rewrite_margin,
     standard_instance_plan,
     verify_chain_instance,
     verify_inequality_suite,
     window_gap_margins,
 )
-from ffgap.operators import LocalProjector
+from ffgap.models import random_cell_2d
+from ffgap.operators import EnlargedChainApplier, LocalProjector
 from ffgap.spectra import GapProfile, gap_profile
+
+
+def kron_rewrite_margin(model, m, n, coeffs) -> tuple[float, float]:
+    """Dense (margin, scale) of the rewrite inequality, built from np.kron.
+
+    The enlarged ring has m+1 sites: bonds h_1..h_{m-1}, P_R on site m as
+    h_m and P_L on site 1 as h_{m+1}; Q and F follow their definitions.
+    Products are taken in CSR, and only the two spectra are dense.
+    """
+    d, p = model.d, m + 1
+
+    def on_sites(local, first, k):
+        eye_left, eye_right = np.eye(d ** (first - 1)), np.eye(d ** (p - first - k + 1))
+        return sp.csr_matrix(np.kron(np.kron(eye_left, local), eye_right))
+
+    h = [on_sites(model.P.matrix, j, 2) for j in range(1, m)]
+    h += [on_sites(model.P_R.matrix, m, 1), on_sites(model.P_L.matrix, 1, 1)]
+    H = sum(h)
+    Q = sum(h[i] @ h[(i + 1) % p] + h[(i + 1) % p] @ h[i] for i in range(p))
+    F = sum(
+        h[i] @ h[j]
+        for i in range(p)
+        for j in range(p)
+        if min(abs(i - j), p - abs(i - j)) >= 2
+    )
+    c = np.asarray(coeffs.c)
+    rhs = (c @ c) * H + (c[:-1] @ c[1:]) * (Q + F)
+    diff = rhs.copy()
+    for l in range(p):
+        B = sum(w * h[(l + k) % p] for k, w in enumerate(c))
+        diff -= B @ B
+    margin = float(np.linalg.eigvalsh(diff.toarray())[0])
+    return margin, max(1.0, float(np.linalg.eigvalsh(rhs.toarray())[-1]))
 
 
 def synthetic_profile(bulk_list, left, right, boundary_trivial=False) -> GapProfile:
@@ -253,18 +288,36 @@ class TestCertify2d:
         json.dumps(doc)  # must be JSON-serializable as-is
 
 
+class TestProp2dMargin:
+    def test_oversized_rhomboid_rejected_before_assembly(self, monkeypatch):
+        cell = random_cell_2d(3, 2, 12).payload  # metaspin 3, 10 boxes: dim 3^10
+
+        def must_not_assemble(*args, **kwargs):
+            raise AssertionError("assembled before the size check")
+
+        monkeypatch.setattr(criteria, "plaquette_model_hamiltonian", must_not_assemble)
+        monkeypatch.setattr(criteria, "patch_operator", must_not_assemble)
+        with pytest.raises(ValueError, match="dense-diagonalizable"):
+            prop2d_margin(cell, 2, 1, 3)
+
+
 class TestOperatorChecks:
     def test_hsquared_identity(self, random_chain_d2):
         assert hsquared_identity_residual(random_chain_d2.payload, 6) < 1e-12
 
     def test_interchange_identity(self, random_chain_d2):
         coeffs = coeffs_1d(4, SQRT6)
-        assert interchange_residual(random_chain_d2.payload, 8, 4, coeffs) < 1e-12
+        assert interchange_residual(random_chain_d2.payload, 8, 4, coeffs, seed=7) < 1e-12
 
-    def test_interchange_matfree(self, random_chain_d2):
+    def test_interchange_catches_broken_window(self, monkeypatch, random_chain_d2):
         coeffs = coeffs_1d(4, SQRT6)
-        res = interchange_residual_matfree(random_chain_d2.payload, 8, 4, coeffs, seed=7)
-        assert res < 1e-11
+        apply_window = EnlargedChainApplier.apply_window
+
+        def drop_last_term(self, l, c, v):
+            return apply_window(self, l, c[:-1], v)
+
+        monkeypatch.setattr(EnlargedChainApplier, "apply_window", drop_last_term)
+        assert interchange_residual(random_chain_d2.payload, 8, 4, coeffs, seed=7) > 1e-12
 
     def test_rewrite_margin_nonnegative(self, random_chain_d2):
         coeffs = coeffs_1d(4, SQRT6)
@@ -272,13 +325,16 @@ class TestOperatorChecks:
         assert scale >= 1.0
         assert margin >= -1e-9 * scale
 
-    def test_rewrite_margin_matfree_matches_dense(self, monkeypatch, random_chain_d2):
-        coeffs = coeffs_1d(4, SQRT6)
-        dense_margin, dense_scale = rewrite_margin(random_chain_d2.payload, 8, 4, coeffs)
-        monkeypatch.setattr(criteria, "_DENSE_SUITE_CUTOFF", 100)
-        free_margin, free_scale = rewrite_margin(
-            random_chain_d2.payload, 8, 4, coeffs, seed=5
-        )
+    @pytest.mark.parametrize(
+        "chain, m, n",
+        [("random_chain_d2", 8, 4), ("random_chain_d3_boundary", 6, 3)],
+        ids=["d2", "d3"],
+    )
+    def test_rewrite_margin_matches_kron_reference(self, request, chain, m, n):
+        model = request.getfixturevalue(chain).payload
+        coeffs = coeffs_1d(n, SQRT6)
+        dense_margin, dense_scale = kron_rewrite_margin(model, m, n, coeffs)
+        free_margin, free_scale = rewrite_margin(model, m, n, coeffs, seed=5)
         assert free_margin == pytest.approx(dense_margin, abs=1e-9 * dense_scale)
         assert free_scale == pytest.approx(dense_scale, rel=1e-4)
 

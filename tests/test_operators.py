@@ -20,7 +20,6 @@ from ffgap.operators import (
     projector_complement_kernel,
     q_and_f,
     region_hamiltonian,
-    subchain_operator,
     subchain_support_operator,
 )
 
@@ -202,6 +201,11 @@ class TestEnlargedRing:
         assert cyclic_distance(3, 3, 5) == 0
 
 
+def random_state(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
 class TestSubchainOperators:
     @pytest.mark.parametrize("l", [1, 4, 8, 9])
     def test_window_wraps_cyclically(self, random_chain_d2, l):
@@ -209,8 +213,9 @@ class TestSubchainOperators:
         m, n = 8, 4
         terms = enlarged_terms(model, m)
         want = sum(terms[(l + k - 1) % (m + 1)].toarray() for k in range(n - 1))
-        got = subchain_operator(model, m, n, l).toarray()
-        assert np.allclose(got, want, atol=1e-13)
+        v = random_state(2 ** (m + 1), l)
+        got = EnlargedChainApplier(model, m).apply_window(l, (1.0,) * (n - 1), v)
+        assert np.allclose(got, want @ v, atol=1e-12)
 
     def test_deformed_window_weights(self, random_chain_d2):
         model = random_chain_d2.payload
@@ -220,19 +225,23 @@ class TestSubchainOperators:
         want = sum(
             coeffs.c[k] * terms[(2 + k - 1) % (m + 1)].toarray() for k in range(n - 1)
         )
-        got = subchain_operator(model, m, n, 2, coeffs).toarray()
-        assert np.allclose(got, want, atol=1e-13)
+        v = random_state(2 ** (m + 1), 2)
+        got = EnlargedChainApplier(model, m).apply_window(2, coeffs.c, v)
+        assert np.allclose(got, want @ v, atol=1e-12)
 
     def test_window_too_long_rejected(self, random_chain_d2):
         with pytest.raises(ValueError):
-            subchain_operator(random_chain_d2.payload, 6, 4, 1)
+            subchain_support_operator(random_chain_d2.payload, 6, 4, 1)
 
     def test_support_operator_matches_full(self, random_chain_d3_boundary):
         model = random_chain_d3_boundary.payload
         m, n = 6, 3
         coeffs = coeffs_1d(n, SQRT6)
+        terms = enlarged_terms(model, m)
         for l in (1, 5, 6, 7, 3):
-            full = subchain_operator(model, m, n, l, coeffs).toarray()
+            full = sum(
+                coeffs.c[k] * terms[(l + k - 1) % (m + 1)].toarray() for k in range(n - 1)
+            )
             small, sites = subchain_support_operator(model, m, n, l, coeffs)
             # spectra agree up to identity tensor factors
             vals_full = np.unique(np.round(np.linalg.eigvalsh(full), 9))
@@ -246,18 +255,15 @@ class TestEnlargedChainApplier:
         model = random_chain_d3_boundary.payload
         m = 5
         applier = EnlargedChainApplier(model, m)
-        dim = 3 ** (m + 1)
-        rng = np.random.default_rng(11)
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v = random_state(3 ** (m + 1), 11)
         terms = enlarged_terms(model, m)
         for j, term in enumerate(terms, start=1):
             assert np.allclose(applier.apply_term(j, v), term.matrix @ v, atol=1e-12)
         H = enlarged_hamiltonian(model, m)
         assert np.allclose(applier.apply_hamiltonian(v), H.matrix @ v, atol=1e-12)
         Q, F = q_and_f(model, m)
-        qv, fv = applier.apply_q_and_f(v)
-        assert np.allclose(qv, Q.matrix @ v, atol=1e-11)
-        assert np.allclose(fv, F.matrix @ v, atol=1e-11)
+        images = applier.term_images(v)
+        assert np.allclose(applier.apply_q_plus_f(images), (Q + F).matrix @ v, atol=1e-11)
 
     def test_window_application(self, random_chain_d2):
         model = random_chain_d2.payload
@@ -266,9 +272,13 @@ class TestEnlargedChainApplier:
         applier = EnlargedChainApplier(model, m)
         dim = 2 ** (m + 1)
         v = np.random.default_rng(7).standard_normal(dim).astype(np.complex128)
+        terms = enlarged_terms(model, m)
+        images = applier.term_images(v)
         for l in (1, 5, 9):
-            window = subchain_operator(model, m, n, l, coeffs)
-            assert np.allclose(applier.apply_window(l, coeffs.c, v), window.matrix @ v, atol=1e-11)
+            window = sum(coeffs.c[k] * terms[(l + k - 1) % (m + 1)].matrix for k in range(n - 1))
+            want = window @ v
+            assert np.allclose(applier.apply_window(l, coeffs.c, v), want, atol=1e-11)
+            assert np.allclose(applier.window_from_images(l, coeffs.c, images), want, atol=1e-11)
 
 
 class TestSparseHermitianOperator:
