@@ -307,6 +307,10 @@ class TestOperatorChecks:
 
     def test_interchange_identity(self, random_chain_d2):
         coeffs = coeffs_1d(4, SQRT6)
+        assert interchange_residual(random_chain_d2.payload, 8, 4, coeffs) < 1e-12
+
+    def test_interchange_matfree(self, random_chain_d2):
+        coeffs = coeffs_1d(4, SQRT6)
         assert interchange_residual(random_chain_d2.payload, 8, 4, coeffs, seed=7) < 1e-12
 
     def test_interchange_catches_broken_window(self, monkeypatch, random_chain_d2):
