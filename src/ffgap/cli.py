@@ -167,14 +167,18 @@ def _require_kind(spec, kind: str):
     return spec.payload
 
 
-def _guarded_gap(hamiltonian, zero_tol: float = 1e-10):
+def _check_dim(dim: int) -> None:
+    """Refuse a window above MAX_ED_DIM; called before anything is assembled."""
+    if dim > MAX_ED_DIM:
+        raise ValueError(f"window dimension {dim} exceeds the diagonalization cap {MAX_ED_DIM}")
+
+
+def _region_gap(cell, region) -> float:
+    from .operators import region_hamiltonian
     from .spectra import spectral_gap
 
-    if hamiltonian.dim > MAX_ED_DIM:
-        raise ValueError(
-            f"window dimension {hamiltonian.dim} exceeds the diagonalization cap {MAX_ED_DIM}"
-        )
-    return spectral_gap(hamiltonian, zero_tol=zero_tol)
+    _check_dim(cell.d ** len(region))
+    return spectral_gap(region_hamiltonian(cell, region)).gap
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +186,21 @@ def _guarded_gap(hamiltonian, zero_tol: float = 1e-10):
 # ---------------------------------------------------------------------------
 
 def _cmd_gap(args):
-    from .operators import chain_hamiltonian
     from dataclasses import replace
+
+    from .spectra import chain_gap, chain_kernels
 
     spec = resolve_model(args.model)
     model = _require_kind(spec, "chain")
     if args.bc == "periodic":
         model = replace(model, bc="periodic")
-    reports = []
-    for m in parse_sizes(args.sizes):
-        rep = _guarded_gap(chain_hamiltonian(model, m), args.zero_tol)
-        reports.append({"m": m, **asdict(rep)})
+    sizes = parse_sizes(args.sizes)
+    for m in sizes:
+        _check_dim(model.d**m)
+    kernels = chain_kernels(model, max(sizes))
+    reports = [
+        {"m": m, **asdict(chain_gap(model, m, args.zero_tol, kernels))} for m in sizes
+    ]
     return {"model": spec.name, "bc": args.bc, "gaps": reports}, EXIT_OK
 
 
@@ -217,8 +225,8 @@ def _cmd_certify(args):
     from . import criteria
     from .coarse_grain import effective_1d, effective_2d
     from .lattice import box_region, rhomboid_sites
-    from .operators import ChainModel, LocalProjector, chain_hamiltonian, region_hamiltonian
-    from .spectra import gap_profile
+    from .operators import ChainModel, LocalProjector
+    from .spectra import chain_gap, gap_profile
 
     if args.criterion in ("thm1", "thm2"):
         spec = resolve_model(args.model)
@@ -233,16 +241,15 @@ def _cmd_certify(args):
         model = _require_kind(spec, "chain")
         zero = LocalProjector.zero(1, model.d)
         bulk_model = ChainModel(model.d, model.P, zero, zero)
-        rep = _guarded_gap(chain_hamiltonian(bulk_model, args.n))
-        cert = criteria.certify_periodic(rep.gap, args.n, args.m)
+        _check_dim(model.d**args.n)
+        cert = criteria.certify_periodic(chain_gap(bulk_model, args.n).gap, args.n, args.m)
     elif args.criterion == "quasi1d":
         spec = resolve_model(args.model)
         cell = _require_kind(spec, "cell_2d")
         eff = effective_1d(cell, args.m2, args.R)
         gaps = {}
         for l in range(args.n // 2, args.n + 1):
-            region = box_region(l * eff.R, args.m2)
-            gaps[l] = _guarded_gap(region_hamiltonian(cell, region)).gap
+            gaps[l] = _region_gap(cell, box_region(l * eff.R, args.m2))
         cert = criteria.certify_quasi1d(cell, args.m2, args.R, args.n, gaps, effective=eff)
     elif args.criterion == "2d":
         spec = resolve_model(args.model)
@@ -253,7 +260,7 @@ def _cmd_certify(args):
         for l1 in window:
             for l2 in window:
                 sites, _ = rhomboid_sites(l1, l2, args.R)
-                gaps[(l1, l2)] = _guarded_gap(region_hamiltonian(cell, sites)).gap
+                gaps[(l1, l2)] = _region_gap(cell, sites)
         cert = criteria.certify_2d(cell, args.R, args.n, gaps, effective=eff)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown criterion {args.criterion!r}")

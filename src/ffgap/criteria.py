@@ -39,13 +39,12 @@ from .operators import (
     EnlargedChainApplier,
     InteractionCell,
     SparseHermitianOperator,
-    chain_hamiltonian,
     enlarged_hamiltonian,
     patch_operator,
     q_and_f,
     subchain_support_operator,
 )
-from .spectra import PSD_DENSE_CUTOFF, GapProfile, gap_profile, spectral_gap
+from .spectra import PSD_DENSE_CUTOFF, GapProfile, chain_gap, gap_profile
 
 SCHEMA_VERSION = 1
 _INTERCHANGE_SAMPLES = 5
@@ -510,7 +509,7 @@ def verify_chain_instance(
     """All 1D inequality checks for one chain model; see verify_inequality_suite."""
     n = config.n
     record: dict = {}
-    gap0 = spectral_gap(chain_hamiltonian(model, identity_m))
+    gap0 = chain_gap(model, identity_m)
     record["ff"] = gap0.kernel_dim >= 1
     if not record["ff"]:
         record["failure"] = "ff_precondition"

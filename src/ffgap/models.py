@@ -3,7 +3,8 @@
 Every constructor returns a ModelSpec whose frustration-freeness (ground
 energy zero at each length) has been verified numerically up to
 ``ff_check_depth``; rank-based sufficient conditions are treated as
-advisory input validation only.
+advisory input validation only. Chains are checked by their kernel
+recursion (``spectra.chain_kernels``), 2D cells by diagonalization.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import eigsh
 
+from . import spectra
 from .lattice import InteractionShape, box_region
 from .operators import (
     ChainModel,
@@ -26,7 +28,6 @@ from .operators import (
 
 FF_ZERO_TOL = 1e-10
 MAX_REGENERATIONS = 16
-_FF_DENSE_CUTOFF = 2048
 
 
 @dataclass(frozen=True)
@@ -55,22 +56,29 @@ class ModelSpec:
 def _ground_energy(H) -> tuple[float, float]:
     """(ground energy, spectral scale) of a sparse Hermitian operator."""
     mat = H.matrix
-    if H.dim <= _FF_DENSE_CUTOFF:
+    if H.dim <= spectra.DENSE_CUTOFF:
         vals = np.linalg.eigvalsh(mat.toarray())
         return float(vals[0]), max(1.0, float(vals[-1]))
-    lam_max = float(eigsh(mat, k=1, which="LA", return_eigenvectors=False)[0])
-    lam_min = float(eigsh(mat, k=1, which="SA", return_eigenvectors=False, tol=1e-12)[0])
+    v0 = spectra.start_vector(H.dim, mat.dtype)
+    lam_max = float(eigsh(mat, k=1, which="LA", return_eigenvectors=False, v0=v0)[0])
+    lam_min = float(eigsh(mat, k=1, which="SA", return_eigenvectors=False, tol=1e-12, v0=v0)[0])
     return lam_min, max(1.0, lam_max)
 
 
 def frustration_free(spec_payload, kind: str, depth: int) -> bool:
     """Numerically check ground energy 0 at every size up to ``depth``.
 
-    Chains are checked at lengths 2..depth; 2D cells on all boxes (a, b)
-    with a, b <= depth whose Hilbert space stays dense-diagonalizable.
+    Chains are checked at lengths 2..depth: a length passes when its kernel
+    from ``spectra.chain_kernels`` is nonempty, and lengths past that
+    recursion's cap by diagonalization. 2D cells are diagonalized on all
+    boxes (a, b) with a, b <= depth whose Hilbert space stays
+    dense-diagonalizable.
     """
     if kind == "chain":
-        for m in range(2, depth + 1):
+        kernels = spectra.chain_kernels(spec_payload, depth)
+        if any(K.shape[1] == 0 for K in kernels[1:]):
+            return False
+        for m in range(max(2, len(kernels) + 1), depth + 1):
             energy, scale = _ground_energy(chain_hamiltonian(spec_payload, m))
             if energy > FF_ZERO_TOL * scale:
                 return False
@@ -78,7 +86,7 @@ def frustration_free(spec_payload, kind: str, depth: int) -> bool:
     d = spec_payload.d
     for a in range(1, depth + 1):
         for b in range(a, depth + 1):
-            if d ** (a * b) > _FF_DENSE_CUTOFF:
+            if d ** (a * b) > spectra.DENSE_CUTOFF:
                 continue
             H = region_hamiltonian(spec_payload, box_region(a, b))
             energy, scale = _ground_energy(H)

@@ -1,8 +1,14 @@
-"""Spectral gaps, least-eigenvalue margins, and boundary gap profiles.
+"""Spectral gaps, least-eigenvalue margins, chain kernels, and boundary gap profiles.
 
 Dense diagonalization below a size cutoff, implicitly restarted Lanczos
 (ARPACK) above it. Iterative results carry an explicit residual check so a
-silently unconverged eigenvalue cannot masquerade as a gap.
+silently unconverged eigenvalue cannot masquerade as a gap. Every ARPACK
+start vector is seeded, so reruns are identical.
+
+Chain kernels are built without diagonalization by the frustration-free
+recursion K_m = (K_{m-1} (x) C^d) & ker P_{m-1,m} (the finitely correlated
+ground-space structure of Fannes, Nachtergaele and Werner). A chain gap
+computed from such a basis is cross-checked against it and deflated by it.
 """
 
 from __future__ import annotations
@@ -12,16 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .operators import ChainModel, LocalProjector, SparseHermitianOperator, chain_hamiltonian
 
-DENSE_CUTOFF = 2048
+# size cutoffs (Hilbert-space dimensions)
+DENSE_CUTOFF = 2048  # spectral_gap without a kernel basis: dense up to here
+KERNEL_DENSE_CUTOFF = 512  # spectral_gap with a kernel basis: dense up to here, deflated above
 DENSE_FALLBACK_CUTOFF = 8192
 PSD_DENSE_CUTOFF = 4096
-RESIDUAL_RTOL = 1e-8
+# widest kernel of the Lanczos sweep, and of the chain-kernel recursion
 MAX_SWEEP_K = 64
+
+RESIDUAL_RTOL = 1e-8
+NULL_SVD_TOL = 1e-8  # singular values of a compressed projector at or below this are null
+LANCZOS_SEED = 20180123
 _ARPACK_MAXITER = 5000
+DEFLATED_RESTARTS = 200  # Lanczos restarts of a deflated gap before falling back to dense
 
 
 @dataclass(frozen=True)
@@ -31,7 +44,8 @@ class GapReport:
     ``gap`` is the smallest eigenvalue above the kernel threshold
     zero_tol * max(1, lambda_max), or +inf when no eigenvalue exceeds it
     (zero operator). ``residual`` is the relative eigenpair residual of the
-    gap eigenvalue (0 for dense computations).
+    gap eigenvalue (0 for dense computations). ``method`` is "dense",
+    "iterative" (Lanczos sweep) or "deflated" (Lanczos on H + s Pi_K).
     """
 
     dim: int
@@ -106,6 +120,12 @@ def _densify(target, dim):
     return np.asarray(target)
 
 
+def start_vector(dim: int, dtype=np.float64) -> np.ndarray:
+    """The fixed ARPACK start vector of a dimension (seeded by LANCZOS_SEED)."""
+    v0 = np.random.default_rng(LANCZOS_SEED).uniform(-1.0, 1.0, dim)
+    return v0.astype(np.result_type(dtype, np.float64))
+
+
 def _eigsh(target, **kw):
     try:
         return eigsh(target, **kw)
@@ -117,7 +137,12 @@ def _eigsh(target, **kw):
 
 def _largest_eigenvalue(target, dim) -> float:
     vals = _eigsh(
-        target, k=1, which="LA", return_eigenvectors=False, maxiter=_ARPACK_MAXITER
+        target,
+        k=1,
+        which="LA",
+        return_eigenvectors=False,
+        maxiter=_ARPACK_MAXITER,
+        v0=start_vector(dim, target.dtype),
     )
     return float(vals[0])
 
@@ -126,9 +151,9 @@ def _largest_eigenvalue(target, dim) -> float:
 # gaps
 # ---------------------------------------------------------------------------
 
-def _dense_report(arr: np.ndarray, zero_tol: float) -> GapReport:
-    dim = arr.shape[0]
-    vals = np.linalg.eigvalsh(arr)
+def _dense_report(vals: np.ndarray, zero_tol: float) -> GapReport:
+    """The gap report of a full ascending spectrum."""
+    dim = len(vals)
     lam_max = float(vals[-1]) if dim else 0.0
     scale = max(1.0, lam_max)
     threshold = zero_tol * scale
@@ -145,16 +170,129 @@ def _dense_report(arr: np.ndarray, zero_tol: float) -> GapReport:
     )
 
 
-def spectral_gap(op, zero_tol: float = 1e-10, method: str | None = None) -> GapReport:
+def _kernel_report(apply, target, dim, arr, kernel, zero_tol, method) -> GapReport:
+    """Gap of H from a claimed orthonormal kernel basis K, cross-checked both ways.
+
+    lambda_max(K^H H K) <= zero_tol * scale shows, by interlacing, that H has
+    at least dim K eigenvalues at or below the kernel threshold; a gap above
+    the threshold shows that it has no more. Either failure raises.
+    """
+    K = np.asarray(kernel)
+    if K.ndim != 2 or K.shape[0] != dim:
+        raise ValueError(f"kernel basis must have shape ({dim}, k), got {K.shape}")
+    k = K.shape[1]
+    ritz = np.zeros(0)  # eigenvalues of K^H H K
+    if k:
+        HK = np.column_stack([apply(K[:, j]) for j in range(k)])
+        ritz = np.linalg.eigvalsh(K.conj().T @ HK)
+
+    def check_kernel(threshold):
+        if k and ritz[-1] > threshold:
+            raise RuntimeError(
+                f"kernel basis is not annihilated: lambda_max(K^H H K) = {ritz[-1]:.3e} "
+                f"exceeds the kernel threshold {threshold:.3e}"
+            )
+
+    def dense_report():
+        dense = arr if arr is not None else _densify(target, dim)
+        if dense is None:
+            raise ValueError("dense method requested for an operator that cannot be densified")
+        vals = np.linalg.eigvalsh(dense)
+        report = _dense_report(vals, zero_tol)
+        check_kernel(zero_tol * max(1.0, float(vals[-1])))
+        if report.kernel_dim != k:
+            raise RuntimeError(
+                f"kernel basis has {k} vectors but H has {report.kernel_dim} eigenvalues "
+                "at or below the kernel threshold"
+            )
+        return report
+
+    if method is None:
+        small = dim <= KERNEL_DENSE_CUTOFF and not isinstance(target, LinearOperator)
+        method = "dense" if small else "deflated"
+    if method == "dense":
+        return dense_report()
+
+    if k == dim:
+        scale = max(1.0, float(ritz[-1]))
+        check_kernel(zero_tol * scale)
+        return GapReport(dim, float(ritz[0]), dim, math.inf, "deflated", zero_tol, 0.0)
+    lam_max = _largest_eigenvalue(target, dim)
+    scale = max(1.0, lam_max)
+    threshold = zero_tol * scale
+    check_kernel(threshold)
+
+    K_conj = K.conj()
+
+    def project(v):
+        # einsum's own loops, not BLAS: a threaded OpenBLAS gemv on the tall K
+        # made each Lanczos step up to 100x slower on a 2-core machine
+        return np.einsum("ij,j...->i...", K, np.einsum("ij,i...->j...", K_conj, v))
+
+    def deflated(v):
+        return apply(v) + scale * project(v)
+
+    dtype = np.result_type(target.dtype, K.dtype)
+    op = LinearOperator((dim, dim), matvec=deflated, dtype=dtype)
+    v0 = start_vector(dim, dtype)
+    v0 -= project(v0)
+    # A gap inside a tight cluster (nearly gapless chains) can take Lanczos
+    # longer than dense ED; such solves get a restart budget, then go dense.
+    can_densify = arr is not None or (sp.issparse(target) and dim <= DENSE_FALLBACK_CUTOFF)
+    restarts = DEFLATED_RESTARTS if can_densify else _ARPACK_MAXITER
+    try:
+        vals, vecs = eigsh(op, k=1, which="SA", maxiter=restarts, v0=v0)
+    except ArpackError as err:
+        if can_densify:
+            return dense_report()
+        raise RuntimeError(f"deflated Lanczos solve failed: {err}") from err
+    gap = float(vals[0])
+    v = vecs[:, 0]
+    residual = float(np.linalg.norm(deflated(v) - gap * v)) / scale
+    if residual > RESIDUAL_RTOL:
+        raise RuntimeError(f"gap eigenpair residual {residual:.3e} exceeds {RESIDUAL_RTOL}")
+    if gap <= threshold:
+        raise RuntimeError(
+            f"H has an eigenvalue {gap:.3e} at or below the kernel threshold {threshold:.3e} "
+            f"outside the {k}-dimensional kernel basis"
+        )
+    return GapReport(
+        dim=dim,
+        ground_energy=float(ritz[0]) if k else gap,
+        kernel_dim=k,
+        gap=gap,
+        method="deflated",
+        zero_tol=zero_tol,
+        residual=residual,
+    )
+
+
+def spectral_gap(
+    op, zero_tol: float = 1e-10, method: str | None = None, kernel=None
+) -> GapReport:
     """Ground energy, kernel dimension, and spectral gap of a PSD operator.
 
     The gap is the smallest eigenvalue exceeding zero_tol * max(1,
-    lambda_max). ``method`` may force "dense" or "iterative"; by default
-    dense diagonalization is used up to dimension 2048. Iterative runs
-    raise if the residual of the gap eigenpair exceeds 1e-8 relative to
-    the spectral scale.
+    lambda_max). Iterative runs raise if the residual of the gap eigenpair
+    exceeds 1e-8 relative to the spectral scale.
+
+    Without ``kernel``, dense diagonalization is used up to dimension 2048
+    and a Lanczos sweep over the k = 8, 16, 32, 64 lowest eigenvalues above
+    it; ``method`` may force "dense" or "iterative".
+
+    ``kernel`` is an orthonormal basis (dim x k) of the claimed kernel, as
+    from ``chain_kernels``. It is cross-checked (raising on a mismatch) and
+    the gap is then dense up to dimension 512, and above it the lowest
+    eigenvalue of H + max(1, lambda_max) Pi_K by one Lanczos solve
+    ("deflated"), which goes dense after DEFLATED_RESTARTS restarts when
+    the operator can be densified; ``method`` may force "dense" or
+    "deflated".
     """
     apply, target, dim, arr = _normalize(op)
+    if kernel is not None:
+        if method not in (None, "dense", "deflated"):
+            raise ValueError(f"unknown method {method!r} for a gap with a kernel basis")
+        return _kernel_report(apply, target, dim, arr, kernel, zero_tol, method)
     if method not in (None, "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
     if method is None:
@@ -164,7 +302,7 @@ def spectral_gap(op, zero_tol: float = 1e-10, method: str | None = None) -> GapR
             arr = _densify(target, dim)
         if arr is None:
             raise ValueError("dense method requested for an operator that cannot be densified")
-        return _dense_report(arr, zero_tol)
+        return _dense_report(np.linalg.eigvalsh(arr), zero_tol)
 
     if sp.issparse(target) and target.nnz == 0:
         return GapReport(dim, 0.0, dim, math.inf, "iterative", zero_tol, 0.0)
@@ -174,9 +312,10 @@ def spectral_gap(op, zero_tol: float = 1e-10, method: str | None = None) -> GapR
     threshold = zero_tol * scale
 
     k = 8
+    v0 = start_vector(dim, target.dtype)
     while True:
         k_eff = min(k, dim - 1)
-        vals, vecs = _eigsh(target, k=k_eff, which="SA", maxiter=_ARPACK_MAXITER)
+        vals, vecs = _eigsh(target, k=k_eff, which="SA", maxiter=_ARPACK_MAXITER, v0=v0)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         above = vals > threshold
@@ -185,7 +324,7 @@ def spectral_gap(op, zero_tol: float = 1e-10, method: str | None = None) -> GapR
         if k_eff >= min(MAX_SWEEP_K, dim - 1):
             arr = _densify(target, dim)
             if arr is not None:
-                return _dense_report(arr, zero_tol)
+                return _dense_report(np.linalg.eigvalsh(arr), zero_tol)
             raise RuntimeError(
                 f"kernel sweep exhausted at k={k_eff} without finding a positive "
                 "eigenvalue; the kernel is too large for the iterative path"
@@ -223,7 +362,7 @@ def psd_margin(
     operators use Lanczos with an explicit residual check. ``tol`` is the
     Lanczos eigenvalue tolerance (0 = machine), ``scale`` the spectral
     scale used for the residual check (estimated when omitted), and ``v0``
-    a deterministic start vector.
+    the start vector (``start_vector`` when omitted).
     """
     apply, target, dim, arr = _normalize(op)
     if method not in (None, "dense", "iterative"):
@@ -240,6 +379,8 @@ def psd_margin(
             raise ValueError("dense method requested for an operator that cannot be densified")
         return float(np.linalg.eigvalsh(arr)[0])
 
+    if v0 is None:
+        v0 = start_vector(dim, target.dtype)
     vals, vecs = _eigsh(target, k=1, which="SA", maxiter=_ARPACK_MAXITER, tol=tol, v0=v0)
     theta = float(vals[0])
     v = vecs[:, 0]
@@ -264,6 +405,92 @@ def psd_margin(
 
 
 # ---------------------------------------------------------------------------
+# chain kernels by bond recursion
+# ---------------------------------------------------------------------------
+
+def _null_columns(image: np.ndarray) -> np.ndarray:
+    """Orthonormal coefficient columns spanning the numerical null space of ``image``.
+
+    ``image`` is a projector applied to orthonormal columns, so its singular
+    values lie in [0, 1] and NULL_SVD_TOL is an absolute threshold.
+    """
+    _, s, vh = np.linalg.svd(image, full_matrices=False)
+    return vh[int((s > NULL_SVD_TOL).sum()):].conj().T
+
+
+def _open_kernels(model: ChainModel, n: int):
+    """Yield the kernels of P_L plus the bonds on lengths 1..n (P_R left out).
+
+    P_L is dropped for periodic chains. Stops early, before the first length
+    whose kernel has more than MAX_SWEEP_K columns.
+    """
+    d = model.d
+    bond = model.P.matrix.reshape(d, d, d, d)
+    if model.bc == "open" and not model.P_L.is_zero:
+        K = _null_columns(model.P_L.matrix)
+    else:
+        K = np.eye(d, dtype=np.complex128)
+    for m in range(1, n + 1):
+        if m > 1:
+            # P on sites (m-1, m) applied to the columns K[:, j] (x) e_s
+            k = K.shape[1]
+            K3 = K.reshape(d ** (m - 2), d, k)
+            image = np.einsum("pqxs,axj->apqjs", bond, K3, optimize=True)
+            null = _null_columns(image.reshape(d**m, k * d))
+            coeffs = null.reshape(k, d, null.shape[1])
+            K = np.einsum("axj,jyc->axyc", K3, coeffs, optimize=True).reshape(d**m, null.shape[1])
+        if K.shape[1] > MAX_SWEEP_K:
+            return
+        yield K
+
+
+def _close(model: ChainModel, K: np.ndarray, m: int) -> np.ndarray:
+    """Cut an open-chain kernel of length m by P_R (open) or the wrap bond (periodic)."""
+    d, k = model.d, K.shape[1]
+    if model.bc == "periodic":
+        if m == 1:
+            return K
+        # P on the factor order (site m, site 1)
+        bond = model.P.matrix.reshape(d, d, d, d)
+        K4 = K.reshape(d, d ** (m - 2), d, k)
+        image = np.einsum("qpsr,rbsj->pbqj", bond, K4, optimize=True)
+    elif model.P_R.is_zero:
+        return K
+    else:
+        K3 = K.reshape(d ** (m - 1), d, k)
+        image = np.einsum("yx,axj->ayj", model.P_R.matrix, K3, optimize=True)
+    return K @ _null_columns(image.reshape(d**m, k))
+
+
+def chain_kernels(model: ChainModel, n: int) -> list[np.ndarray]:
+    """Orthonormal kernel bases K_1, ..., K_n of the model's m-site chains.
+
+    Built without diagonalization: K_1 = ker P_L (C^d when P_L is zero),
+    K_m = (K_{m-1} (x) C^d) & ker P_{m-1,m} by a thin SVD on d * dim K_{m-1}
+    columns, then one more cut by P_R or, for periodic chains, by the
+    wrap-around bond. Entry m-1 is a (d^m, dim K_m) array. The list stops
+    before the first length whose open kernel has more than MAX_SWEEP_K
+    columns, so it can be shorter than n.
+    """
+    return [_close(model, K, m) for m, K in enumerate(_open_kernels(model, n), start=1)]
+
+
+def chain_gap(
+    model: ChainModel, m: int, zero_tol: float = 1e-10, kernels: list | None = None
+) -> GapReport:
+    """spectral_gap of the m-site chain, from its kernel basis when one is known.
+
+    ``kernels`` is the output of ``chain_kernels(model, n)`` for some n (built
+    here when omitted). Lengths past the recursion cap take the plain
+    spectral_gap route.
+    """
+    if kernels is None:
+        kernels = chain_kernels(model, m)
+    kernel = kernels[m - 1] if m <= len(kernels) else None
+    return spectral_gap(chain_hamiltonian(model, m), zero_tol=zero_tol, kernel=kernel)
+
+
+# ---------------------------------------------------------------------------
 # boundary gap profiles
 # ---------------------------------------------------------------------------
 
@@ -272,7 +499,8 @@ def gap_profile(model: ChainModel, n: int, zero_tol: float = 1e-10) -> GapProfil
 
     The bulk gap drops both boundary projectors; the left (right) gap
     keeps only the left (right) one. For models without boundary
-    projectors all three families coincide.
+    projectors all three families coincide. One kernel recursion serves
+    the bulk and right families, a second one the left family.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -283,15 +511,19 @@ def gap_profile(model: ChainModel, n: int, zero_tol: float = 1e-10) -> GapProfil
     left_model = ChainModel(model.d, model.P, model.P_L, zero)
     right_model = ChainModel(model.d, model.P, zero, model.P_R)
 
-    def gaps(chain: ChainModel) -> tuple[float, ...]:
+    def gaps(chain: ChainModel, kernels: list) -> tuple[float, ...]:
         return tuple(
-            spectral_gap(chain_hamiltonian(chain, length), zero_tol=zero_tol).gap
-            for length in range(2, n + 1)
+            chain_gap(chain, length, zero_tol, kernels).gap for length in range(2, n + 1)
         )
 
-    bulk_list = gaps(bulk_model)
-    left = bulk_list if model.P_L.is_zero else gaps(left_model)
-    right = bulk_list if model.P_R.is_zero else gaps(right_model)
+    bulk_kernels = list(_open_kernels(bulk_model, n))
+    bulk_list = gaps(bulk_model, bulk_kernels)
+    left = bulk_list if model.P_L.is_zero else gaps(left_model, list(_open_kernels(left_model, n)))
+    if model.P_R.is_zero:
+        right = bulk_list
+    else:
+        right_kernels = [_close(right_model, K, m) for m, K in enumerate(bulk_kernels, start=1)]
+        right = gaps(right_model, right_kernels)
     return GapProfile(
         n=n,
         bulk=bulk_list[-1],

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from ffgap import operators, spectra
 from ffgap.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -82,6 +83,38 @@ class TestGapCommand:
             capsys, "gap", "--model", "aklt", "--sizes", "12"
         )  # 3^12 > 2^15 cap
         assert code == EXIT_ERROR
+
+    def test_oversized_window_refused_before_assembly(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Hamiltonian was assembled")
+
+        monkeypatch.setattr(operators, "chain_hamiltonian", refuse)
+        monkeypatch.setattr(spectra, "chain_hamiltonian", refuse)
+        for argv in (
+            ("gap", "--model", "aklt", "--sizes", "4,12"),
+            ("certify", "gm", "--model", "aklt", "--n", "12", "--m", "24"),
+        ):
+            code, doc = run_json(capsys, "--error-json", *argv)
+            assert code == EXIT_ERROR
+            assert "exceeds the diagonalization cap" in doc["error"]
+
+    def test_singlet_degenerate_kernel(self, capsys):
+        # the kernel of the m-site singlet chain is the spin-m/2 multiplet
+        code, doc = run_json(
+            capsys, "--no-timestamp", "gap", "--model", "singlet", "--sizes", "12"
+        )
+        assert code == EXIT_OK
+        (entry,) = doc["result"]["gaps"]
+        assert entry["kernel_dim"] == 13
+        assert entry["method"] == "deflated"
+        assert entry["gap"] == pytest.approx(1.0 - math.cos(math.pi / 12), abs=1e-10)
+
+    def test_periodic_kernel(self, capsys):
+        code, doc = run_json(
+            capsys, "--no-timestamp", "gap", "--model", "aklt", "--sizes", "4..7", "--bc", "periodic"
+        )
+        assert code == EXIT_OK
+        assert [entry["kernel_dim"] for entry in doc["result"]["gaps"]] == [1, 1, 1, 1]
 
 
 class TestCertifyCommand:

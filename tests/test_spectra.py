@@ -1,15 +1,27 @@
-"""Spectral gap reports, PSD margins, and boundary gap profiles."""
+"""Spectral gap reports, PSD margins, chain kernels, and boundary gap profiles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator
 
-from ffgap.models import aklt, singlet_chain
-from ffgap.operators import chain_hamiltonian
-from ffgap.spectra import GapProfile, GapReport, gap_profile, psd_margin, spectral_gap
+from ffgap.models import ModelSpec, random_ff
+from ffgap.operators import ChainModel, LocalProjector, chain_hamiltonian
+from ffgap.spectra import (
+    DENSE_CUTOFF,
+    MAX_SWEEP_K,
+    GapProfile,
+    chain_gap,
+    chain_kernels,
+    gap_profile,
+    psd_margin,
+    spectral_gap,
+)
 
 
 def diag_operator(values):
@@ -48,11 +60,22 @@ class TestSpectralGap:
         with pytest.raises(ValueError):
             spectral_gap(np.eye(2), method="magic")
 
+    def test_iterative_path_is_reproducible(self, aklt_spec):
+        ham = chain_hamiltonian(aklt_spec.payload, 7)  # 3^7, above the dense cutoff
+        first = spectral_gap(ham)
+        assert first.method == "iterative"
+        assert spectral_gap(ham) == first
+
     def test_linear_operator_input(self):
         values = np.array([0.0, 0.3] + [1.0] * 200)
         op = LinearOperator((202, 202), matvec=lambda v: values * v, dtype=float)
         report = spectral_gap(op)
         assert report.method == "iterative"
+        assert report.gap == pytest.approx(0.3, rel=1e-8)
+        # a matrix-free operator cannot be densified: deflated even below 512
+        kernel = np.eye(202, 1)
+        report = spectral_gap(op, kernel=kernel)
+        assert (report.method, report.kernel_dim) == ("deflated", 1)
         assert report.gap == pytest.approx(0.3, rel=1e-8)
 
 
@@ -121,3 +144,172 @@ class TestGapProfile:
         for m in range(2, 5):
             direct = spectral_gap(chain_hamiltonian(model, m))
             assert profile.bulk_list[m - 2] == pytest.approx(direct.gap, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# chain kernels and kernel-basis gaps
+# ---------------------------------------------------------------------------
+
+def spectrum(model, m):
+    """Dense ED: ascending eigenvalues of the m-site chain."""
+    return np.linalg.eigvalsh(chain_hamiltonian(model, m).toarray())
+
+
+def ed_kernel_and_gap(vals, zero_tol=1e-10):
+    scale = max(1.0, float(vals[-1]))
+    above = vals > zero_tol * scale
+    return int((~above).sum()), (float(vals[above].min()) if above.any() else math.inf), scale
+
+
+def families(model):
+    """Bulk, left, right, both-edge and periodic variants of a chain model.
+
+    Without boundary projectors every open variant is the bulk chain.
+    """
+    zero = LocalProjector.zero(1, model.d)
+    variants = {
+        "bulk": ChainModel(model.d, model.P, zero, zero),
+        "periodic": replace(model, bc="periodic"),
+    }
+    if not model.boundary_trivial:
+        variants["left"] = ChainModel(model.d, model.P, model.P_L, zero)
+        variants["right"] = ChainModel(model.d, model.P, zero, model.P_R)
+        variants["both"] = ChainModel(model.d, model.P, model.P_L, model.P_R)
+    return variants
+
+
+@pytest.fixture(scope="module")
+def random_chain_d2_left(random_chain_d2):
+    """random_chain_d2 plus a random rank-1 left boundary projector.
+
+    (Random d=2 chains with projectors on both edges are frustrated.)
+    """
+    v = np.random.default_rng(5151).standard_normal(4).view(complex)
+    v /= np.linalg.norm(v)
+    P_L = LocalProjector(1, 2, np.outer(v, v.conj()))
+    model = replace(random_chain_d2.payload, P_L=P_L)
+    return ModelSpec("random_chain_d2_left", "chain", model, ff_check_depth=0)
+
+
+CHAIN_FIXTURES = ("aklt_spec", "singlet_spec", "random_chain_d2", "random_chain_d2_left",
+                  "random_chain_d3_boundary")
+
+
+class TestChainKernels:
+    @pytest.mark.parametrize("fixture", CHAIN_FIXTURES)
+    def test_dimensions_and_gaps_match_dense_ed(self, fixture, request):
+        model = request.getfixturevalue(fixture).payload
+        n = int(math.log(DENSE_CUTOFF, model.d) + 1e-9)
+        for name, chain in families(model).items():
+            kernels = chain_kernels(chain, n)  # shorter than n past the recursion cap
+            for m in range(2, len(kernels) + 1):
+                K = kernels[m - 1]
+                assert np.allclose(K.conj().T @ K, np.eye(K.shape[1]), atol=1e-12)
+                kernel_dim, gap, scale = ed_kernel_and_gap(spectrum(chain, m))
+                assert K.shape[1] == kernel_dim, (name, m)
+                if chain.d**m >= 16:
+                    report = spectral_gap(chain_hamiltonian(chain, m), method="deflated", kernel=K)
+                    assert report.method == "deflated"
+                    assert report.kernel_dim == kernel_dim
+                    assert report.gap == pytest.approx(gap, abs=1e-10 * scale), (name, m)
+
+    def test_known_kernel_dimensions(self, aklt_spec, singlet_spec):
+        assert [K.shape[1] for K in chain_kernels(aklt_spec.payload, 8)] == [3] + [4] * 7
+        assert [K.shape[1] for K in chain_kernels(singlet_spec.payload, 10)] == list(range(2, 12))
+        periodic = replace(aklt_spec.payload, bc="periodic")
+        assert [K.shape[1] for K in chain_kernels(periodic, 6)][2:] == [1] * 4
+
+    def test_recursion_stops_past_the_cap(self):
+        # rank-1 d=3 bonds: the open kernel triples each step, so the list ends early
+        model = random_ff(3, 1, 1, 108, ff_check_depth=4).payload
+        kernels = chain_kernels(model, 8)
+        assert len(kernels) < 8
+        assert all(K.shape[1] <= MAX_SWEEP_K for K in kernels)
+
+    def test_frustrated_chain_has_empty_kernels(self):
+        model = ChainModel(2, LocalProjector(2, 2, np.eye(4)), LocalProjector.zero(1, 2),
+                           LocalProjector.zero(1, 2))
+        assert [K.shape[1] for K in chain_kernels(model, 4)] == [2, 0, 0, 0]
+
+    def test_chain_gap_uses_the_kernel(self, aklt_spec):
+        report = chain_gap(aklt_spec.payload, 7)
+        assert report.method == "deflated"
+        assert report.kernel_dim == 4
+        iterative = spectral_gap(chain_hamiltonian(aklt_spec.payload, 7))
+        assert report.gap == pytest.approx(iterative.gap, rel=1e-10)
+        assert chain_gap(aklt_spec.payload, 5).method == "dense"  # 243 <= 512
+
+
+    def test_clustered_gap_falls_back_to_dense(self):
+        # a nearly gapless draw: gap 5.4e-6 at m=10, next eigenvalue 1.0e-5;
+        # the deflated solve exhausts its restart budget and the gap is dense
+        model = random_ff(2, 1, 0, 181, ff_check_depth=4).payload
+        report = chain_gap(model, 10)
+        assert (report.method, report.kernel_dim) == ("dense", 11)
+        kernel_dim, gap, _ = ed_kernel_and_gap(spectrum(model, 10))
+        assert report.gap == gap == pytest.approx(5.41e-6, rel=1e-3)
+
+
+class TestKernelCrossCheck:
+    @pytest.mark.parametrize("method", ["dense", "deflated"])
+    def test_dropped_kernel_vector_raises(self, singlet_spec, method):
+        ham = chain_hamiltonian(singlet_spec.payload, 6)
+        K = chain_kernels(singlet_spec.payload, 6)[-1]
+        with pytest.raises(RuntimeError, match="kernel"):
+            spectral_gap(ham, method=method, kernel=K[:, 1:])
+
+    @pytest.mark.parametrize("method", ["dense", "deflated"])
+    def test_added_non_kernel_vector_raises(self, singlet_spec, method):
+        ham = chain_hamiltonian(singlet_spec.payload, 6)
+        K = chain_kernels(singlet_spec.payload, 6)[-1]
+        w = np.random.default_rng(3).standard_normal(K.shape[0]).astype(complex)
+        w -= K @ (K.conj().T @ w)
+        w /= np.linalg.norm(w)
+        with pytest.raises(RuntimeError, match="not annihilated"):
+            spectral_gap(ham, method=method, kernel=np.column_stack([K, w]))
+
+    def test_tiny_true_gap_is_not_counted_as_kernel(self):
+        # an eigenvalue below the kernel threshold outside the basis must raise,
+        # where the threshold-only count would report the next eigenvalue
+        values = np.array([0.0, 1e-13] + [1.0] * 600)
+        K = np.zeros((602, 1))
+        K[0, 0] = 1.0
+        with pytest.raises(RuntimeError, match="kernel"):
+            spectral_gap(diag_operator(values), kernel=K)
+        assert spectral_gap(diag_operator(values)).kernel_dim == 2
+
+    def test_bad_kernel_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            spectral_gap(np.eye(4), kernel=np.zeros((3, 1)))
+        with pytest.raises(ValueError):
+            spectral_gap(np.eye(4), method="iterative", kernel=np.zeros((4, 0)))
+
+
+@st.composite
+def random_chains(draw):
+    # the (d, rank_bulk, rank_boundary) recipes whose Haar draws are frustration-free
+    d, rank_bulk, rank_boundary = draw(
+        st.sampled_from([(2, 1, 0), (3, 1, 0), (3, 1, 1), (3, 2, 0), (3, 2, 1)])
+    )
+    seed = draw(st.integers(0, 10**6))
+    try:
+        spec = random_ff(d, rank_bulk, rank_boundary, seed, ff_check_depth=4)
+    except RuntimeError:
+        assume(False)
+    return spec.payload
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(model=random_chains())
+def test_kernel_and_gap_match_dense_ed_on_random_chains(model):
+    """Soundness oracle at every size that dense ED reaches here (dim <= 1024)."""
+    n = 10 if model.d == 2 else 6
+    for name, chain in families(model).items():
+        kernels = chain_kernels(chain, n)
+        for m in range(2, n + 1):
+            kernel_dim, gap, scale = ed_kernel_and_gap(spectrum(chain, m))
+            if m <= len(kernels):
+                assert kernels[m - 1].shape[1] == kernel_dim, (name, m)
+            report = chain_gap(chain, m, kernels=kernels)
+            assert report.kernel_dim == kernel_dim, (name, m)
+            assert report.gap == pytest.approx(gap, abs=1e-10 * scale), (name, m)
