@@ -1,18 +1,29 @@
 """Command-line front end for batch gap certification runs.
 
-Heavy numerical imports happen inside main() after argument parsing so that
---threads can cap BLAS worker pools before numpy initializes them.
+--threads caps the OpenBLAS pools of numpy and scipy at run time, after they
+have loaded.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import datetime
 import io
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+
+import numpy
+import scipy
+
+from . import __version__, criteria, models
+from ._blas import set_threads
+from .coarse_grain import effective_1d, effective_2d
+from .coefficients import SQRT6, optimal_x, prefactor_1d, threshold_1d, threshold_2d
+from .lattice import box_region, rhomboid_sites
+from .operators import ChainModel, LocalProjector, region_hamiltonian
+from .spectra import chain_gap, chain_kernels, gap_profile, spectral_gap
 
 SCHEMA_VERSION = 1
 MAX_ED_DIM = 1 << 15
@@ -138,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_model(name: str, ff_check_depth: int = 8):
     """Builtin name, random:<kwargs> recipe, or model-file path -> ModelSpec."""
-    from . import models
-
     if name == "aklt":
         return models.aklt(ff_check_depth)
     if name in ("singlet", "singlet_chain"):
@@ -174,9 +183,6 @@ def _check_dim(dim: int) -> None:
 
 
 def _region_gap(cell, region) -> float:
-    from .operators import region_hamiltonian
-    from .spectra import spectral_gap
-
     _check_dim(cell.d ** len(region))
     return spectral_gap(region_hamiltonian(cell, region)).gap
 
@@ -186,10 +192,6 @@ def _region_gap(cell, region) -> float:
 # ---------------------------------------------------------------------------
 
 def _cmd_gap(args):
-    from dataclasses import replace
-
-    from .spectra import chain_gap, chain_kernels
-
     spec = resolve_model(args.model)
     model = _require_kind(spec, "chain")
     if args.bc == "periodic":
@@ -205,8 +207,6 @@ def _cmd_gap(args):
 
 
 def _cmd_profile(args):
-    from .spectra import gap_profile
-
     spec = resolve_model(args.model)
     model = _require_kind(spec, "chain")
     profile = gap_profile(model, args.n, zero_tol=args.zero_tol)
@@ -222,12 +222,6 @@ def _cmd_profile(args):
 
 
 def _cmd_certify(args):
-    from . import criteria
-    from .coarse_grain import effective_1d, effective_2d
-    from .lattice import box_region, rhomboid_sites
-    from .operators import ChainModel, LocalProjector
-    from .spectra import chain_gap, gap_profile
-
     if args.criterion in ("thm1", "thm2"):
         spec = resolve_model(args.model)
         model = _require_kind(spec, "chain")
@@ -271,8 +265,6 @@ def _cmd_certify(args):
 
 
 def _threshold_rows(ns, mode: str):
-    from .coefficients import SQRT6, optimal_x, prefactor_1d, threshold_1d, threshold_2d
-
     rows = []
     for n in ns:
         x = optimal_x(n)[0] if mode == "exact" and n >= 4 else SQRT6
@@ -306,17 +298,13 @@ def _cmd_thresholds(args):
 
 
 def _cmd_verify(args):
-    from .criteria import verify_inequality_suite
-
-    report = verify_inequality_suite(
+    report = criteria.verify_inequality_suite(
         args.seed, args.trials, include_2d=(args.suite == "1d+2d")
     )
     return report, EXIT_OK if report["pass"] else EXIT_ERROR
 
 
 def _cmd_coarse_grain(args):
-    from .coarse_grain import effective_1d, effective_2d
-
     spec = resolve_model(args.model)
     cell = _require_kind(spec, "cell_2d")
     if args.two_d:
@@ -389,11 +377,6 @@ def _emit(result, config: RunConfig, args) -> None:
     if isinstance(result, str):  # preformatted CSV
         text = result
     else:
-        import numpy
-        import scipy
-
-        from . import __version__
-
         envelope = {
             "schema_version": SCHEMA_VERSION,
             "tool": {
@@ -406,8 +389,6 @@ def _emit(result, config: RunConfig, args) -> None:
             "result": result,
         }
         if not args.no_timestamp:
-            import datetime
-
             envelope["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
         text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
     if args.output:
@@ -430,8 +411,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
+        set_threads(args.threads)
     try:
         result, code = _COMMANDS[args.command](args)
         _emit(result, _run_config(args), args)

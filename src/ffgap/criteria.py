@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+from ._blas import single_thread
 from .coarse_grain import (
     EffectiveModel1D,
     EffectiveModel2D,
@@ -39,7 +40,7 @@ from .operators import (
     EnlargedChainApplier,
     InteractionCell,
     SparseHermitianOperator,
-    enlarged_hamiltonian,
+    chain_hamiltonian,
     patch_operator,
     q_and_f,
     subchain_support_operator,
@@ -378,7 +379,7 @@ def _coefficient_sums(c: tuple[float, ...]) -> tuple[float, float]:
 
 def hsquared_identity_residual(model: ChainModel, m: int) -> float:
     """Relative Frobenius residual of H^2 = H + Q + F on the enlarged ring."""
-    H = enlarged_hamiltonian(model, m)
+    H = chain_hamiltonian(model, m)
     Q, F = q_and_f(model, m)
     H2 = H @ H
     diff = H2 - H - Q - F
@@ -405,6 +406,31 @@ def interchange_residual(
     return worst
 
 
+def rewrite_difference(
+    applier: EnlargedChainApplier, c: tuple[float, ...], v: np.ndarray
+) -> np.ndarray:
+    """D v for D = (sum c^2) H + (sum c c') (Q+F) - sum_l B_{n,l}^2.
+
+    Grouped by the term applied last, sum_l B_l^2 v = sum_i h_i (sum_a c_a
+    B_{i-a} v), and (Q+F) v = sum_i h_i (T v - h_i v) with T v = sum_j h_j v.
+    So after the term images each h_i is applied once more: 2(m+1) term
+    applications in all.
+    """
+    sum_c2, sum_cc = _coefficient_sums(c)
+    period = applier.period
+    images = applier.term_images(v)
+    total = np.sum(images, axis=0)
+    windows = [applier.window_from_images(l, c, images) for l in range(1, period + 1)]
+    out = sum_c2 * total
+    for i, image in enumerate(images):
+        inner = sum_cc * (total - image)
+        for a, weight in enumerate(c):
+            inner -= weight * windows[(i - a) % period]
+        out += applier.apply_term(i + 1, inner)
+    return out
+
+
+@single_thread()
 def rewrite_margin(
     model: ChainModel,
     m: int,
@@ -418,28 +444,19 @@ def rewrite_margin(
     The inequality bounds sum_l B_{n,l}^2 by (sum c^2) H + (sum c c') (Q+F);
     the margin is the least eigenvalue of the difference and the scale is
     the largest eigenvalue of the dominating side. Both come from Lanczos
-    on matrix-free operators: each matvec applies every term once for the
-    term images, once more for (Q+F), and once more per window for B^2.
+    on matrix-free operators of the m-site chain, on one BLAS thread: each
+    matvec applies every term once for the term images and once more for
+    the rest (``rewrite_difference``), 2(m+1) term applications in all.
     """
     if not 3 <= n <= m / 2:
         raise ValueError(f"need 3 <= n <= m/2, got n={n}, m={m}")
     sum_c2, sum_cc = _coefficient_sums(coeffs.c)
     applier = EnlargedChainApplier(model, m)
     dim = applier.dim
-    c = coeffs.c
-
-    def rhs_of(images):
-        return sum_c2 * np.sum(images, axis=0) + sum_cc * applier.apply_q_plus_f(images)
 
     def rhs_matvec(v):
-        return rhs_of(applier.term_images(np.asarray(v, dtype=np.complex128).ravel()))
-
-    def diff_matvec(v):
-        images = applier.term_images(v)
-        out = rhs_of(images)
-        for l in range(1, m + 2):
-            out -= applier.apply_window(l, c, applier.window_from_images(l, c, images))
-        return out
+        images = applier.term_images(np.asarray(v, dtype=np.complex128).ravel())
+        return sum_c2 * np.sum(images, axis=0) + sum_cc * applier.apply_q_plus_f(images)
 
     rng = np.random.default_rng((seed, 0xA1))
     v0 = rng.standard_normal(dim)
@@ -455,7 +472,7 @@ def rewrite_margin(
 
     def shifted_matvec(v):
         v = np.asarray(v, dtype=np.complex128).ravel()
-        return shift * v - diff_matvec(v)
+        return shift * v - rewrite_difference(applier, coeffs.c, v)
 
     shifted_op = LinearOperator((dim, dim), matvec=shifted_matvec, dtype=np.complex128)
     lam_top = float(

@@ -7,11 +7,11 @@ arbitrary ordered subset of sites is the single primitive everything else is
 built from.
 
 Chains with boundary projectors use the enlarged-ring bookkeeping: the open
-Hamiltonian on m sites is rewritten as a sum of m+1 terms h_1..h_{m+1} on an
-(m+1)-site space whose last factor is an artificial spectator site. Terms
-h_1..h_{m-1} are the bonds, h_m is the right boundary projector (on site m),
-and h_{m+1} is the left boundary projector (on site 1); indices are cyclic
-with period m+1, which makes terms at cyclic distance >= 2 commute.
+Hamiltonian on m sites is rewritten as a sum of m+1 terms h_1..h_{m+1} on the
+m-site space. Terms h_1..h_{m-1} are the bonds, h_m is the right boundary
+projector (on site m), and h_{m+1} is the left boundary projector (on site 1);
+indices are cyclic with period m+1, which makes terms at cyclic distance >= 2
+act on disjoint sites, so they commute.
 """
 
 from __future__ import annotations
@@ -135,21 +135,6 @@ class ChainModel:
         """True when both boundary projectors are zero."""
         return self.P_L.is_zero and self.P_R.is_zero
 
-    def mirrored(self) -> "ChainModel":
-        """The left-right mirror image (reverse the bond, swap the edges)."""
-        d = self.d
-        swap = np.zeros((d * d, d * d))
-        for a in range(d):
-            for b in range(d):
-                swap[b * d + a, a * d + b] = 1.0
-        return ChainModel(
-            d=d,
-            P=LocalProjector(2, d, swap @ self.P.matrix @ swap),
-            P_L=self.P_R,
-            P_R=self.P_L,
-            bc=self.bc,
-        )
-
 
 class SparseHermitianOperator:
     """A dimension-tagged sparse operator on a tensor-product space.
@@ -187,9 +172,6 @@ class SparseHermitianOperator:
 
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
 
     def frobenius_norm(self) -> float:
         data = self.matrix.data
@@ -346,40 +328,36 @@ def region_hamiltonian(cell: InteractionCell, region: SiteRegion) -> SparseHermi
 # enlarged-ring machinery
 # ---------------------------------------------------------------------------
 
-def enlarged_terms(model: ChainModel, m: int) -> list[SparseHermitianOperator]:
-    """The m+1 cyclic terms [h_1, ..., h_{m+1}] on the enlarged space.
+def _ring_term(model: ChainModel, m: int, j: int) -> tuple[LocalProjector, tuple[int, ...]]:
+    """h_j of the enlarged ring (1-based, cyclic with period m+1) and its sites.
 
     h_j is the bond (j, j+1) for j <= m-1, the right boundary projector on
-    site m for j = m, and the left boundary projector on site 1 for
-    j = m+1. Zero boundary projectors give zero operators.
+    site m for j = m, and the left boundary projector on site 1 for j = m+1.
+    """
+    j = (j - 1) % (m + 1) + 1
+    if j <= m - 1:
+        return model.P, (j, j + 1)
+    return (model.P_R, (m,)) if j == m else (model.P_L, (1,))
+
+
+def enlarged_terms(model: ChainModel, m: int) -> list[SparseHermitianOperator]:
+    """The m+1 cyclic terms [h_1, ..., h_{m+1}] (see ``_ring_term``) on the m-site space.
+
+    Zero boundary projectors give zero operators.
     """
     if model.bc != "open":
         raise ValueError("enlarged-ring terms are defined for open chains")
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    region = chain_region(m + 1)
-    d = model.d
-    dim = d ** (m + 1)
+    region = chain_region(m)
     terms = []
-    for j in range(1, m):
-        terms.append(embed(model.P, ((j, 0), (j + 1, 0)), region, d))
-    if model.P_R.is_zero:
-        terms.append(SparseHermitianOperator.zero(dim))
-    else:
-        terms.append(embed(model.P_R, ((m, 0),), region, d))
-    if model.P_L.is_zero:
-        terms.append(SparseHermitianOperator.zero(dim))
-    else:
-        terms.append(embed(model.P_L, ((1, 0),), region, d))
+    for j in range(1, m + 2):
+        proj, sites = _ring_term(model, m, j)
+        if proj.is_zero:
+            terms.append(SparseHermitianOperator.zero(model.d ** m))
+        else:
+            terms.append(embed(proj, tuple((s, 0) for s in sites), region, model.d))
     return terms
-
-
-def enlarged_hamiltonian(model: ChainModel, m: int) -> SparseHermitianOperator:
-    """The open-chain Hamiltonian tensored with the spectator site."""
-    total = None
-    for term in enlarged_terms(model, m):
-        total = term if total is None else total + term
-    return total.assert_hermitian()
 
 
 def cyclic_distance(i: int, j: int, period: int) -> int:
@@ -395,13 +373,13 @@ def q_and_f(
 
     Q = sum_i {h_i, h_{i+1}} (cyclic), F = sum over ordered pairs at cyclic
     distance >= 2 of h_i h_{i'}. Together they satisfy
-    H^2 = H + Q + F for the open-chain Hamiltonian H on the enlarged space.
+    H^2 = H + Q + F for the open-chain Hamiltonian H.
     """
     if m < 3:
         raise ValueError(f"need m >= 3, got {m}")
     terms = enlarged_terms(model, m)
     period = m + 1
-    dim = model.d ** period
+    dim = model.d ** m
     Q = SparseHermitianOperator.zero(dim)
     for i in range(period):
         a, b = terms[i], terms[(i + 1) % period]
@@ -426,7 +404,7 @@ def subchain_support_operator(
     Returns (dense operator, support site labels). The full-space operator
     is this matrix tensored with the identity on the remaining sites, so
     spectra and polynomial margins of the window can be computed at the
-    support dimension instead of d^(m+1).
+    support dimension instead of d^m.
     """
     if not 1 <= n <= m / 2:
         raise ValueError(f"need 1 <= n <= m/2, got n={n}, m={m}")
@@ -437,19 +415,11 @@ def subchain_support_operator(
     pieces = []  # (weight, matrix, site labels)
     support: set[int] = set()
     for offset in range(n - 1):
-        j = (l + offset - 1) % (m + 1) + 1  # cyclic term index in 1..m+1
+        proj, sites = _ring_term(model, m, l + offset)
+        if proj.is_zero:
+            continue
         weight = coeffs.c[offset] if coeffs is not None else 1.0
-        if j <= m - 1:
-            matrix, sites = model.P.matrix, (j, j + 1)
-        elif j == m:
-            if model.P_R.is_zero:
-                continue
-            matrix, sites = model.P_R.matrix, (m,)
-        else:
-            if model.P_L.is_zero:
-                continue
-            matrix, sites = model.P_L.matrix, (1,)
-        pieces.append((weight, matrix, sites))
+        pieces.append((weight, proj.matrix, sites))
         support.update(sites)
     sites_sorted = tuple(sorted(support))
     region = SiteRegion(tuple((s, 0) for s in sites_sorted))
@@ -461,7 +431,7 @@ def subchain_support_operator(
 
 
 class EnlargedChainApplier:
-    """Matrix-free application of the enlarged-ring terms of an open chain.
+    """Matrix-free application of the m+1 enlarged-ring terms of an open m-site chain.
 
     Stores each term as a low-rank factor V (term = V V†) and applies it to
     state vectors by reshaping, so products like Q, F, and window squares
@@ -475,28 +445,23 @@ class EnlargedChainApplier:
             raise ValueError(f"need m >= 2, got {m}")
         self.d = model.d
         self.m = m
-        self.sites = m + 1
-        self.dim = model.d ** (m + 1)
+        self.period = m + 1
+        self.dim = model.d ** m
         self.factors: list[tuple[np.ndarray, int, int] | None] = []
         for j in range(1, m + 2):
-            if j <= m - 1:
-                proj, start, k = model.P, j, 2
-            elif j == m:
-                proj, start, k = model.P_R, m, 1
-            else:
-                proj, start, k = model.P_L, 1, 1
+            proj, sites = _ring_term(model, m, j)
             if proj.is_zero:
                 self.factors.append(None)
                 continue
             vals, vecs = np.linalg.eigh(proj.matrix)
             factor = np.ascontiguousarray(vecs[:, vals > 0.5])
-            self.factors.append((factor, start, k))
+            self.factors.append((factor, sites[0], len(sites)))
 
     def _apply_factor(self, factor: np.ndarray, start: int, k: int, v: np.ndarray, adjoint: bool) -> np.ndarray:
         # the middle axis is d^k going in (adjoint) or the factor rank (not),
         # i.e. always the contracted dimension of the matrix being applied
         left = self.d ** (start - 1)
-        right = self.d ** (self.sites - start - k + 1)
+        right = self.d ** (self.m - start - k + 1)
         mat = factor.conj().T if adjoint else factor
         t = v.reshape(left, mat.shape[1], right)
         out = np.tensordot(mat, t, axes=(1, 1)).transpose(1, 0, 2)
@@ -504,7 +469,7 @@ class EnlargedChainApplier:
 
     def apply_term(self, j: int, v: np.ndarray) -> np.ndarray:
         """Apply h_j (1-based cyclic index) to a state vector."""
-        entry = self.factors[(j - 1) % self.sites]
+        entry = self.factors[(j - 1) % self.period]
         if entry is None:
             return np.zeros_like(v)
         factor, start, k = entry
@@ -512,13 +477,10 @@ class EnlargedChainApplier:
 
     def term_images(self, v: np.ndarray) -> list[np.ndarray]:
         """[h_1 v, ..., h_{m+1} v] (zero vectors for absent boundary terms)."""
-        return [self.apply_term(j, v) for j in range(1, self.sites + 1)]
+        return [self.apply_term(j, v) for j in range(1, self.period + 1)]
 
     def apply_hamiltonian(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        for image in self.term_images(v):
-            out += image
-        return out
+        return np.sum(self.term_images(v), axis=0)
 
     def apply_window(self, l: int, c: tuple[float, ...], v: np.ndarray) -> np.ndarray:
         """Apply the deformed window sum starting at position l."""
@@ -533,7 +495,7 @@ class EnlargedChainApplier:
         """The deformed window sum starting at position l, from ``term_images(v)``."""
         out = np.zeros_like(images[0])
         for offset, weight in enumerate(c):
-            out += weight * images[(l + offset - 1) % self.sites]
+            out += weight * images[(l + offset - 1) % self.period]
         return out
 
     def apply_q_plus_f(self, images: list[np.ndarray]) -> np.ndarray:

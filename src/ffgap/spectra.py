@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
+from ._blas import single_thread
 from .operators import ChainModel, LocalProjector, SparseHermitianOperator, chain_hamiltonian
 
 # size cutoffs (Hilbert-space dimensions)
@@ -241,7 +242,8 @@ def _kernel_report(apply, target, dim, arr, kernel, zero_tol, method) -> GapRepo
     can_densify = arr is not None or (sp.issparse(target) and dim <= DENSE_FALLBACK_CUTOFF)
     restarts = DEFLATED_RESTARTS if can_densify else _ARPACK_MAXITER
     try:
-        vals, vecs = eigsh(op, k=1, which="SA", maxiter=restarts, v0=v0)
+        with single_thread():
+            vals, vecs = eigsh(op, k=1, which="SA", maxiter=restarts, v0=v0)
     except ArpackError as err:
         if can_densify:
             return dense_report()
@@ -359,8 +361,8 @@ def psd_margin(
 
     Certifies inequalities X >= Y by psd_margin(X - Y) >= -tolerance.
     Dense up to dimension 4096 (always for ndarray input); matrix-free
-    operators use Lanczos with an explicit residual check. ``tol`` is the
-    Lanczos eigenvalue tolerance (0 = machine), ``scale`` the spectral
+    operators use Lanczos on one BLAS thread with an explicit residual
+    check. ``tol`` is the Lanczos eigenvalue tolerance (0 = machine), ``scale`` the spectral
     scale used for the residual check (estimated when omitted), and ``v0``
     the start vector (``start_vector`` when omitted).
     """
@@ -381,22 +383,13 @@ def psd_margin(
 
     if v0 is None:
         v0 = start_vector(dim, target.dtype)
-    vals, vecs = _eigsh(target, k=1, which="SA", maxiter=_ARPACK_MAXITER, tol=tol, v0=v0)
+    with single_thread():
+        vals, vecs = _eigsh(target, k=1, which="SA", maxiter=_ARPACK_MAXITER, tol=tol, v0=v0)
+        if scale is None:
+            lm = _eigsh(target, k=1, which="LM", return_eigenvectors=False, maxiter=_ARPACK_MAXITER, v0=v0)
+            scale = abs(float(lm[0]))
     theta = float(vals[0])
     v = vecs[:, 0]
-    if scale is None:
-        scale = abs(
-            float(
-                _eigsh(
-                    target,
-                    k=1,
-                    which="LM",
-                    return_eigenvectors=False,
-                    maxiter=_ARPACK_MAXITER,
-                    v0=v0,
-                )[0]
-            )
-        )
     scale = max(1.0, float(scale), abs(theta))
     residual = float(np.linalg.norm(apply(v) - theta * v)) / scale
     if residual > max(RESIDUAL_RTOL, 10.0 * tol):

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ffgap import operators, spectra
+from ffgap import _blas, operators, spectra
 from ffgap.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -281,6 +281,30 @@ class TestReproducibility:
         assert out == ""
         doc = json.loads(path.read_text())
         assert doc["result"]["n"] == 3
+
+
+class TestThreads:
+    @pytest.fixture
+    def pools(self):
+        pools = _blas._pools()
+        if not pools:
+            pytest.skip("no bundled OpenBLAS exports a thread setter")
+        saved = [getter() for _, getter in pools]
+        _blas.set_threads(2)
+        yield pools
+        for (setter, _), k in zip(pools, saved):
+            setter(k)
+
+    def test_flag_sets_blas_threads(self, capsys, pools):
+        assert [getter() for _, getter in pools] == [2] * len(pools)
+        code, _ = run(capsys, "--threads", "1", "thresholds", "--n", "4")
+        assert code == EXIT_OK
+        assert [getter() for _, getter in pools] == [1] * len(pools)
+
+    def test_single_thread_restores(self, pools):
+        with _blas.single_thread():
+            assert [getter() for _, getter in pools] == [1] * len(pools)
+        assert [getter() for _, getter in pools] == [2] * len(pools)
 
 
 class TestErrors:

@@ -27,6 +27,7 @@ from ffgap.criteria import (
     hsquared_identity_residual,
     interchange_residual,
     prop2d_margin,
+    rewrite_difference,
     rewrite_margin,
     standard_instance_plan,
     verify_chain_instance,
@@ -69,6 +70,29 @@ def kron_rewrite_margin(model, m, n, coeffs) -> tuple[float, float]:
         diff -= B @ B
     margin = float(np.linalg.eigvalsh(diff.toarray())[0])
     return margin, max(1.0, float(np.linalg.eigvalsh(rhs.toarray())[-1]))
+
+
+def regrouped_difference_residual(model, m, n, seed=0) -> float:
+    """Worst relative distance of ``rewrite_difference`` from D v taken term by term.
+
+    The reference squares each window with two ``apply_window`` calls, so it
+    shares no grouping with the regrouped sum.
+    """
+    applier = EnlargedChainApplier(model, m)
+    c = coeffs_1d(n, SQRT6).c
+    arr = np.asarray(c)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(3):
+        v = rng.standard_normal(applier.dim) + 1j * rng.standard_normal(applier.dim)
+        images = applier.term_images(v)
+        want = (arr @ arr) * np.sum(images, axis=0)
+        want += (arr[:-1] @ arr[1:]) * applier.apply_q_plus_f(images)
+        for l in range(1, m + 2):
+            want -= applier.apply_window(l, c, applier.apply_window(l, c, v))
+        got = rewrite_difference(applier, c, v)
+        worst = max(worst, float(np.linalg.norm(got - want) / np.linalg.norm(want)))
+    return worst
 
 
 def synthetic_profile(bulk_list, left, right, boundary_trivial=False) -> GapProfile:
@@ -341,6 +365,25 @@ class TestOperatorChecks:
         free_margin, free_scale = rewrite_margin(model, m, n, coeffs, seed=5)
         assert free_margin == pytest.approx(dense_margin, abs=1e-9 * dense_scale)
         assert free_scale == pytest.approx(dense_scale, rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "chain, m, n",
+        [("random_chain_d2", 8, 4), ("random_chain_d3_boundary", 6, 3)],
+        ids=["d2", "d3"],
+    )
+    def test_rewrite_difference_matches_window_squares(self, request, chain, m, n):
+        model = request.getfixturevalue(chain).payload
+        assert regrouped_difference_residual(model, m, n) <= 1e-12
+
+    def test_rewrite_difference_catches_dropped_window(self, monkeypatch, random_chain_d2):
+        window_from_images = EnlargedChainApplier.window_from_images
+
+        def drop_window_3(self, l, c, images):
+            out = window_from_images(self, l, c, images)
+            return 0.0 * out if l == 3 else out
+
+        monkeypatch.setattr(EnlargedChainApplier, "window_from_images", drop_window_3)
+        assert regrouped_difference_residual(random_chain_d2.payload, 8, 4) > 1e-12
 
     def test_rewrite_margin_window_bounds(self, random_chain_d2):
         coeffs = coeffs_1d(4, SQRT6)

@@ -15,7 +15,6 @@ from ffgap.operators import (
     chain_hamiltonian,
     cyclic_distance,
     embed,
-    enlarged_hamiltonian,
     enlarged_terms,
     projector_complement_kernel,
     q_and_f,
@@ -172,12 +171,10 @@ class TestEnlargedRing:
         m = 4
         terms = enlarged_terms(model, m)
         assert len(terms) == m + 1
-        H = enlarged_hamiltonian(model, m).toarray()
+        # the m+1 terms act on the m-site space and sum to the open chain
+        # (up to rounding: the two sums add the edge terms in another order)
         total = sum(t.toarray() for t in terms)
-        assert np.allclose(H, total, atol=1e-13)
-        # the enlarged Hamiltonian is the open-chain one tensored with identity
-        open_chain = chain_hamiltonian(model, m).toarray()
-        assert np.allclose(H, np.kron(open_chain, np.eye(3)), atol=1e-13)
+        assert np.allclose(total, chain_hamiltonian(model, m).toarray(), atol=1e-13)
 
     def test_zero_boundary_gives_zero_terms(self, random_chain_d2):
         model = random_chain_d2.payload
@@ -188,7 +185,7 @@ class TestEnlargedRing:
     def test_hsquared_identity(self, random_chain_d3_boundary):
         model = random_chain_d3_boundary.payload
         m = 4
-        H = enlarged_hamiltonian(model, m)
+        H = chain_hamiltonian(model, m)
         Q, F = q_and_f(model, m)
         lhs = (H @ H).toarray()
         rhs = H.toarray() + Q.toarray() + F.toarray()
@@ -213,7 +210,7 @@ class TestSubchainOperators:
         m, n = 8, 4
         terms = enlarged_terms(model, m)
         want = sum(terms[(l + k - 1) % (m + 1)].toarray() for k in range(n - 1))
-        v = random_state(2 ** (m + 1), l)
+        v = random_state(2 ** m, l)
         got = EnlargedChainApplier(model, m).apply_window(l, (1.0,) * (n - 1), v)
         assert np.allclose(got, want @ v, atol=1e-12)
 
@@ -225,7 +222,7 @@ class TestSubchainOperators:
         want = sum(
             coeffs.c[k] * terms[(2 + k - 1) % (m + 1)].toarray() for k in range(n - 1)
         )
-        v = random_state(2 ** (m + 1), 2)
+        v = random_state(2 ** m, 2)
         got = EnlargedChainApplier(model, m).apply_window(2, coeffs.c, v)
         assert np.allclose(got, want @ v, atol=1e-12)
 
@@ -255,11 +252,12 @@ class TestEnlargedChainApplier:
         model = random_chain_d3_boundary.payload
         m = 5
         applier = EnlargedChainApplier(model, m)
-        v = random_state(3 ** (m + 1), 11)
+        assert applier.dim == 3 ** m
+        v = random_state(3 ** m, 11)
         terms = enlarged_terms(model, m)
         for j, term in enumerate(terms, start=1):
             assert np.allclose(applier.apply_term(j, v), term.matrix @ v, atol=1e-12)
-        H = enlarged_hamiltonian(model, m)
+        H = chain_hamiltonian(model, m)
         assert np.allclose(applier.apply_hamiltonian(v), H.matrix @ v, atol=1e-12)
         Q, F = q_and_f(model, m)
         images = applier.term_images(v)
@@ -270,7 +268,8 @@ class TestEnlargedChainApplier:
         m, n = 8, 4
         coeffs = coeffs_1d(n, SQRT6)
         applier = EnlargedChainApplier(model, m)
-        dim = 2 ** (m + 1)
+        dim = 2 ** m
+        assert applier.dim == dim
         v = np.random.default_rng(7).standard_normal(dim).astype(np.complex128)
         terms = enlarged_terms(model, m)
         images = applier.term_images(v)
