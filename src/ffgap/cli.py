@@ -23,10 +23,9 @@ from .coarse_grain import effective_1d, effective_2d
 from .coefficients import SQRT6, optimal_x, prefactor_1d, threshold_1d, threshold_2d
 from .lattice import box_region, rhomboid_sites
 from .operators import ChainModel, LocalProjector, region_hamiltonian
-from .spectra import chain_gap, chain_kernels, gap_profile, spectral_gap
+from .spectra import chain_gap, chain_kernels, check_dim, gap_profile, spectral_gap
 
 SCHEMA_VERSION = 1
-MAX_ED_DIM = 1 << 15
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
@@ -176,14 +175,8 @@ def _require_kind(spec, kind: str):
     return spec.payload
 
 
-def _check_dim(dim: int) -> None:
-    """Refuse a window above MAX_ED_DIM; called before anything is assembled."""
-    if dim > MAX_ED_DIM:
-        raise ValueError(f"window dimension {dim} exceeds the diagonalization cap {MAX_ED_DIM}")
-
-
 def _region_gap(cell, region) -> float:
-    _check_dim(cell.d ** len(region))
+    check_dim(cell.d ** len(region))
     return spectral_gap(region_hamiltonian(cell, region)).gap
 
 
@@ -197,8 +190,7 @@ def _cmd_gap(args):
     if args.bc == "periodic":
         model = replace(model, bc="periodic")
     sizes = parse_sizes(args.sizes)
-    for m in sizes:
-        _check_dim(model.d**m)
+    check_dim(model.d ** max(sizes))
     kernels = chain_kernels(model, max(sizes))
     reports = [
         {"m": m, **asdict(chain_gap(model, m, args.zero_tol, kernels))} for m in sizes
@@ -235,7 +227,6 @@ def _cmd_certify(args):
         model = _require_kind(spec, "chain")
         zero = LocalProjector.zero(1, model.d)
         bulk_model = ChainModel(model.d, model.P, zero, zero)
-        _check_dim(model.d**args.n)
         cert = criteria.certify_periodic(chain_gap(bulk_model, args.n).gap, args.n, args.m)
     elif args.criterion == "quasi1d":
         spec = resolve_model(args.model)

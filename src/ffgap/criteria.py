@@ -45,7 +45,15 @@ from .operators import (
     q_and_f,
     subchain_support_operator,
 )
-from .spectra import PSD_DENSE_CUTOFF, GapProfile, chain_gap, gap_profile
+from .spectra import (
+    MARGIN_RTOL,
+    PSD_DENSE_CUTOFF,
+    GapProfile,
+    _largest_eigenvalue,
+    certified_margin,
+    chain_gap,
+    gap_profile,
+)
 
 SCHEMA_VERSION = 1
 _INTERCHANGE_SAMPLES = 5
@@ -578,8 +586,14 @@ def prop2d_margin(
 ) -> dict:
     """Margin of the 2D rewrite inequality on the effective plaquette model.
 
-    Checks (H)^2 + beta H >= alpha * sum over collar patches of B^2 on the
-    rhomboid's metaspin space, summing patches at every collar center.
+    Checks D = H^2 + beta H - alpha * sum over collar patches of B^2 >= 0 on
+    the rhomboid's metaspin space, summing patches at every collar center.
+    ``lambda_max_H`` is one Lanczos solve, ``scale`` = max(1, lambda_max_H^2
+    + beta lambda_max_H), and ``margin`` the least eigenvalue of D from
+    ``spectra.certified_margin`` (Lanczos, certified by one Cholesky
+    factorization; dense when that fails). Passes when margin >=
+    -MARGIN_RTOL * scale. Rhomboids above PSD_DENSE_CUTOFF are refused
+    before anything is assembled.
     """
     eff = effective if effective is not None else effective_2d(cell, cell.R)
     dim = eff.metaspin_dim ** len(rhomboid_sites(m1, m2, eff.R)[1])
@@ -599,13 +613,13 @@ def prop2d_margin(
         B = patch_operator(eff.h_plaquette.matrix, pt, c2d, eff.metaspin_dim)
         total_b2 = total_b2 + (B @ B)
     diff = (H @ H) + wt.beta * H - wt.alpha * total_b2
-    lam_h = float(np.linalg.eigvalsh(H.toarray())[-1])
+    lam_h = _largest_eigenvalue(H.matrix, H.dim)
     scale = max(1.0, lam_h ** 2 + wt.beta * lam_h)
-    margin = float(np.linalg.eigvalsh(diff.assert_hermitian().toarray())[0])
+    margin = certified_margin(diff.assert_hermitian(), scale)
     return {
         "margin": margin,
         "scale": scale,
-        "pass": margin >= -1e-9 * scale,
+        "pass": margin >= -MARGIN_RTOL * scale,
         "collar_size": len(centers),
         "lambda_max_H": lam_h,
     }

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError, cholesky
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from ._blas import single_thread
@@ -28,10 +29,12 @@ DENSE_CUTOFF = 2048  # spectral_gap without a kernel basis: dense up to here
 KERNEL_DENSE_CUTOFF = 512  # spectral_gap with a kernel basis: dense up to here, deflated above
 DENSE_FALLBACK_CUTOFF = 8192
 PSD_DENSE_CUTOFF = 4096
+MAX_ED_DIM = 1 << 16  # no window above this is assembled (the AKLT profile at 3^10 fits)
 # widest kernel of the Lanczos sweep, and of the chain-kernel recursion
 MAX_SWEEP_K = 64
 
 RESIDUAL_RTOL = 1e-8
+MARGIN_RTOL = 1e-9  # an inequality holds when its margin is >= -MARGIN_RTOL * scale
 NULL_SVD_TOL = 1e-8  # singular values of a compressed projector at or below this are null
 LANCZOS_SEED = 20180123
 _ARPACK_MAXITER = 5000
@@ -113,6 +116,12 @@ def _normalize(op):
     return (lambda v: arr @ v), arr, arr.shape[0], arr
 
 
+def check_dim(dim: int) -> None:
+    """Refuse a window above MAX_ED_DIM; called before anything is assembled."""
+    if dim > MAX_ED_DIM:
+        raise ValueError(f"window dimension {dim} exceeds the diagonalization cap {MAX_ED_DIM}")
+
+
 def _densify(target, dim):
     if isinstance(target, LinearOperator):
         return None
@@ -137,15 +146,40 @@ def _eigsh(target, **kw):
 
 
 def _largest_eigenvalue(target, dim) -> float:
-    vals = _eigsh(
-        target,
-        k=1,
-        which="LA",
-        return_eigenvectors=False,
-        maxiter=_ARPACK_MAXITER,
-        v0=start_vector(dim, target.dtype),
-    )
+    with single_thread():
+        vals = _eigsh(
+            target,
+            k=1,
+            which="LA",
+            return_eigenvectors=False,
+            maxiter=_ARPACK_MAXITER,
+            v0=start_vector(dim, target.dtype),
+        )
     return float(vals[0])
+
+
+def _least_eigenvalue(apply, dim, dtype, scale: float, tol: float = 0.0, v0=None) -> float:
+    """The least eigenvalue theta of a Hermitian operator, by one Lanczos solve.
+
+    Lanczos runs on shift*I - op with shift = 1.05 * scale + 1, whose target
+    eigenvalue shift - theta is the largest ("LA") and far from zero, so the
+    relative tolerance is meaningful; a Ritz value can only undershoot it, so
+    theta is never below the true least eigenvalue. One BLAS thread; raises
+    when the eigenpair residual exceeds max(RESIDUAL_RTOL, 10 tol) relative
+    to max(1, scale, |theta|).
+    """
+    shift = 1.05 * scale + 1.0
+    op = LinearOperator((dim, dim), matvec=lambda v: shift * v - apply(v), dtype=dtype)
+    if v0 is None:
+        v0 = start_vector(dim, dtype)
+    with single_thread():
+        vals, vecs = _eigsh(op, k=1, which="LA", maxiter=_ARPACK_MAXITER, tol=tol, v0=v0)
+    theta = shift - float(vals[0])
+    v = vecs[:, 0]
+    residual = float(np.linalg.norm(apply(v) - theta * v)) / max(1.0, scale, abs(theta))
+    if residual > max(RESIDUAL_RTOL, 10.0 * tol):
+        raise RuntimeError(f"margin eigenpair residual {residual:.3e} exceeds tolerance")
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +351,8 @@ def spectral_gap(
     v0 = start_vector(dim, target.dtype)
     while True:
         k_eff = min(k, dim - 1)
-        vals, vecs = _eigsh(target, k=k_eff, which="SA", maxiter=_ARPACK_MAXITER, v0=v0)
+        with single_thread():
+            vals, vecs = _eigsh(target, k=k_eff, which="SA", maxiter=_ARPACK_MAXITER, v0=v0)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         above = vals > threshold
@@ -361,10 +396,11 @@ def psd_margin(
 
     Certifies inequalities X >= Y by psd_margin(X - Y) >= -tolerance.
     Dense up to dimension 4096 (always for ndarray input); matrix-free
-    operators use Lanczos on one BLAS thread with an explicit residual
-    check. ``tol`` is the Lanczos eigenvalue tolerance (0 = machine), ``scale`` the spectral
-    scale used for the residual check (estimated when omitted), and ``v0``
-    the start vector (``start_vector`` when omitted).
+    operators use the shifted Lanczos solve of ``_least_eigenvalue``.
+    ``tol`` is the Lanczos eigenvalue tolerance (0 = machine), ``scale`` the
+    spectral scale of the shift and the residual check (|lambda| max by
+    Lanczos when omitted), and ``v0`` the start vector (``start_vector``
+    when omitted).
     """
     apply, target, dim, arr = _normalize(op)
     if method not in (None, "dense", "iterative"):
@@ -383,18 +419,39 @@ def psd_margin(
 
     if v0 is None:
         v0 = start_vector(dim, target.dtype)
-    with single_thread():
-        vals, vecs = _eigsh(target, k=1, which="SA", maxiter=_ARPACK_MAXITER, tol=tol, v0=v0)
-        if scale is None:
+    if scale is None:
+        with single_thread():
             lm = _eigsh(target, k=1, which="LM", return_eigenvectors=False, maxiter=_ARPACK_MAXITER, v0=v0)
-            scale = abs(float(lm[0]))
-    theta = float(vals[0])
-    v = vecs[:, 0]
-    scale = max(1.0, float(scale), abs(theta))
-    residual = float(np.linalg.norm(apply(v) - theta * v)) / scale
-    if residual > max(RESIDUAL_RTOL, 10.0 * tol):
-        raise RuntimeError(f"margin eigenpair residual {residual:.3e} exceeds tolerance")
-    return theta
+        scale = abs(float(lm[0]))
+    return _least_eigenvalue(apply, dim, target.dtype, max(1.0, float(scale)), tol=tol, v0=v0)
+
+
+def certified_margin(op, scale: float) -> float:
+    """The least eigenvalue of a sparse Hermitian operator, certified by a Cholesky factorization.
+
+    theta comes from one Lanczos solve (``_least_eigenvalue``) and is never
+    below the least eigenvalue. A Cholesky factorization of op - sigma*I with
+    sigma = max(theta, 0) - MARGIN_RTOL * scale then proves that every
+    eigenvalue exceeds sigma: so theta is the least eigenvalue to within
+    MARGIN_RTOL * scale, and the margin passes (>= -MARGIN_RTOL * scale).
+    (The factorization's backward error, about dim * eps * |op|, is far
+    below that.) When the factorization fails, as it must on a failing
+    inequality, or Lanczos fails, the margin is the dense least eigenvalue.
+    Dimensions up to PSD_DENSE_CUTOFF.
+    """
+    apply, target, dim, _ = _normalize(op)
+    if not sp.issparse(target) or dim > PSD_DENSE_CUTOFF:
+        raise ValueError(f"certified margins need a sparse matrix of dim <= {PSD_DENSE_CUTOFF}")
+    try:
+        theta = _least_eigenvalue(apply, dim, target.dtype, scale)
+        shifted = target.toarray()
+        shifted[np.diag_indices(dim)] -= max(theta, 0.0) - MARGIN_RTOL * scale
+        # the Fortran-ordered view is the conjugate, so equally definite, and
+        # is factored in place without a copy
+        cholesky(shifted.T, overwrite_a=True, check_finite=False)
+        return theta
+    except (ArpackError, LinAlgError, RuntimeError):
+        return float(np.linalg.eigvalsh(target.toarray())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +532,9 @@ def chain_gap(
 
     ``kernels`` is the output of ``chain_kernels(model, n)`` for some n (built
     here when omitted). Lengths past the recursion cap take the plain
-    spectral_gap route.
+    spectral_gap route. Raises ValueError above MAX_ED_DIM before assembling.
     """
+    check_dim(model.d**m)
     if kernels is None:
         kernels = chain_kernels(model, m)
     kernel = kernels[m - 1] if m <= len(kernels) else None
@@ -493,10 +551,12 @@ def gap_profile(model: ChainModel, n: int, zero_tol: float = 1e-10) -> GapProfil
     The bulk gap drops both boundary projectors; the left (right) gap
     keeps only the left (right) one. For models without boundary
     projectors all three families coincide. One kernel recursion serves
-    the bulk and right families, a second one the left family.
+    the bulk and right families, a second one the left family. Raises
+    ValueError above MAX_ED_DIM before assembling.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    check_dim(model.d**n)
     if model.bc != "open":
         raise ValueError("gap profiles are defined for open chains")
     zero = LocalProjector.zero(1, model.d)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ffgap import models
+from ffgap import _blas, models
 from ffgap.criteria import SuiteConfig, verify_inequality_suite
 
 ACCEPTANCE_SEED = 20260814
@@ -45,3 +45,16 @@ def random_cells_2d():
 def suite_report():
     """The full 20-instance inequality-suite report (shared across criteria)."""
     return verify_inequality_suite(ACCEPTANCE_SEED, 20, config=SuiteConfig())
+
+
+@pytest.fixture
+def pools():
+    """The bundled OpenBLAS (setter, getter) pairs, all set to 2 threads, restored after."""
+    pools = _blas._pools()
+    if not pools:
+        pytest.skip("no bundled OpenBLAS exports a thread setter")
+    saved = [getter() for _, getter in pools]
+    _blas.set_threads(2)
+    yield pools
+    for (setter, _), k in zip(pools, saved):
+        setter(k)

@@ -81,7 +81,7 @@ class TestGapCommand:
     def test_oversized_window_fails(self, capsys):
         code, out = run(
             capsys, "gap", "--model", "aklt", "--sizes", "12"
-        )  # 3^12 > 2^15 cap
+        )  # 3^12 > 2^16 cap
         assert code == EXIT_ERROR
 
     def test_oversized_window_refused_before_assembly(self, capsys, monkeypatch):
@@ -284,17 +284,6 @@ class TestReproducibility:
 
 
 class TestThreads:
-    @pytest.fixture
-    def pools(self):
-        pools = _blas._pools()
-        if not pools:
-            pytest.skip("no bundled OpenBLAS exports a thread setter")
-        saved = [getter() for _, getter in pools]
-        _blas.set_threads(2)
-        yield pools
-        for (setter, _), k in zip(pools, saved):
-            setter(k)
-
     def test_flag_sets_blas_threads(self, capsys, pools):
         assert [getter() for _, getter in pools] == [2] * len(pools)
         code, _ = run(capsys, "--threads", "1", "thresholds", "--n", "4")

@@ -2,20 +2,29 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError, cholesky
+from scipy.sparse.linalg import LinearOperator
 
-from ffgap import criteria
+from ffgap import criteria, spectra
 from ffgap.coefficients import (
     SQRT6,
     coeffs_1d,
     optimal_x,
     threshold_1d,
     threshold_2d,
+    weight_table,
 )
-from ffgap.coarse_grain import EffectiveModel1D, effective_1d
+from ffgap.coarse_grain import (
+    EffectiveModel1D,
+    effective_1d,
+    effective_2d,
+    plaquette_model_hamiltonian,
+)
 from ffgap.criteria import (
     SuiteConfig,
     certify_2d,
@@ -36,7 +45,7 @@ from ffgap.criteria import (
 )
 from ffgap.models import random_cell_2d
 from ffgap.operators import EnlargedChainApplier, LocalProjector
-from ffgap.spectra import GapProfile, gap_profile
+from ffgap.spectra import GapProfile, certified_margin, gap_profile, psd_margin
 
 
 def kron_rewrite_margin(model, m, n, coeffs) -> tuple[float, float]:
@@ -312,7 +321,81 @@ class TestCertify2d:
         json.dumps(doc)  # must be JSON-serializable as-is
 
 
+def prop2d_with_dense_reference(monkeypatch, cell, m1, m2):
+    """prop2d_margin at n=2, and the dense least eigenvalue of the D it certified.
+
+    Also returns the dense largest eigenvalue of the rhomboid Hamiltonian.
+    """
+    seen = []
+
+    def record(op, scale):
+        seen.append(op.toarray())
+        return certified_margin(op, scale)
+
+    monkeypatch.setattr(criteria, "certified_margin", record)
+    result = prop2d_margin(cell, 2, m1, m2)
+    H = plaquette_model_hamiltonian(effective_2d(cell, cell.R), m1, m2).toarray()
+    return result, float(np.linalg.eigvalsh(seen[0])[0]), float(np.linalg.eigvalsh(H)[-1])
+
+
 class TestProp2dMargin:
+    @pytest.mark.parametrize(
+        "which, m1, m2",
+        [(0, 1, 3), (1, 3, 1), ("commuting", 1, 3), ("commuting", 3, 1)],
+    )
+    def test_matches_dense_reference(
+        self, monkeypatch, random_cells_2d, commuting_cell_spec, which, m1, m2
+    ):
+        spec = commuting_cell_spec if which == "commuting" else random_cells_2d[which]
+        result, margin, lam_h = prop2d_with_dense_reference(monkeypatch, spec.payload, m1, m2)
+        beta = weight_table(2).beta
+        assert result["lambda_max_H"] == pytest.approx(lam_h, abs=1e-10)
+        assert result["scale"] == pytest.approx(max(1.0, lam_h**2 + beta * lam_h), abs=1e-10)
+        assert result["margin"] == pytest.approx(margin, abs=1e-12 * result["scale"])
+        assert result["pass"]
+
+    def test_corrupted_alpha_fails_with_dense_margin(self, monkeypatch, random_cells_2d):
+        table = weight_table(2)
+        monkeypatch.setattr(
+            criteria, "weight_table", lambda n: replace(table, alpha=table.alpha * 1.0001)
+        )
+        cell = random_cells_2d[0].payload
+        result, margin, _ = prop2d_with_dense_reference(monkeypatch, cell, 1, 3)
+        assert not result["pass"]
+        assert result["margin"] == pytest.approx(margin, abs=1e-10 * result["scale"])
+
+    def test_failed_cholesky_falls_back_to_dense(self, monkeypatch, random_cells_2d):
+        least = spectra._least_eigenvalue
+        monkeypatch.setattr(spectra, "_least_eigenvalue", lambda *a, **kw: least(*a, **kw) + 1.0)
+        failures = []
+
+        def record_failure(*args, **kwargs):
+            try:
+                return cholesky(*args, **kwargs)
+            except LinAlgError:
+                failures.append(True)
+                raise
+
+        monkeypatch.setattr(spectra, "cholesky", record_failure)
+        cell = random_cells_2d[0].payload
+        result, margin, _ = prop2d_with_dense_reference(monkeypatch, cell, 1, 3)
+        assert failures == [True]
+        assert result["margin"] == pytest.approx(margin, abs=1e-12 * result["scale"])
+
+    def test_iterative_psd_margin_finds_degenerate_zero(self, monkeypatch, commuting_cell_spec):
+        # D is diagonal with 124 zero entries; ARPACK "SA" on it returned 2.0
+        seen = []
+
+        def record(op, scale):
+            seen.append((op.matrix, scale))
+            return 0.0
+
+        monkeypatch.setattr(criteria, "certified_margin", record)
+        prop2d_margin(commuting_cell_spec.payload, 2, 1, 3)
+        (D, scale), = seen
+        wrapped = LinearOperator(D.shape, matvec=lambda v: D @ v, dtype=D.dtype)
+        assert abs(psd_margin(wrapped)) <= 1e-12 * scale
+
     def test_oversized_rhomboid_rejected_before_assembly(self, monkeypatch):
         cell = random_cell_2d(3, 2, 12).payload  # metaspin 3, 10 boxes: dim 3^10
 

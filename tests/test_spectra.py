@@ -1,6 +1,7 @@
 """Spectral gap reports, PSD margins, chain kernels, and boundary gap profiles."""
 
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import LinearOperator, eigsh
 
+from ffgap import spectra
 from ffgap.models import ModelSpec, random_ff
 from ffgap.operators import ChainModel, LocalProjector, chain_hamiltonian
 from ffgap.spectra import (
@@ -93,6 +95,23 @@ class TestPsdMargin:
         got = psd_margin(op, tol=1e-10, v0=rng.standard_normal(300))
         assert got == pytest.approx(want, rel=1e-8)
 
+    def test_blas_pinned_to_one_thread_in_every_lanczos_solve(self, monkeypatch, pools, aklt_spec):
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append([getter() for _, getter in pools])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spectra, "eigsh", record)
+        # lambda_max and the k-sweep; lambda_max and the deflated solve; |lambda|max and least
+        spectral_gap(chain_hamiltonian(aklt_spec.payload, 6), method="iterative")
+        chain_gap(aklt_spec.payload, 7)
+        values = np.linspace(-1.0, 1.0, 50)
+        psd_margin(LinearOperator((50, 50), matvec=lambda v: values * v, dtype=float))
+        assert len(seen) >= 6
+        assert all(sizes == [1] * len(pools) for sizes in seen)
+        assert [getter() for _, getter in pools] == [2] * len(pools)
+
     def test_certifies_operator_inequality(self):
         # X >= Y iff margin(X - Y) >= 0
         x = np.diag([2.0, 3.0])
@@ -102,6 +121,18 @@ class TestPsdMargin:
 
 
 class TestGapProfile:
+    def test_oversized_chain_refused_before_assembly(self, monkeypatch, aklt_spec):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Hamiltonian was assembled")
+
+        monkeypatch.setattr(spectra, "chain_hamiltonian", refuse)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the diagonalization cap"):
+            gap_profile(aklt_spec.payload, 15)  # 3^15 > MAX_ED_DIM
+        with pytest.raises(ValueError, match="exceeds the diagonalization cap"):
+            chain_gap(aklt_spec.payload, 15)
+        assert time.perf_counter() - start < 1.0
+
     def test_aklt_profile_shape(self, aklt_spec):
         profile = gap_profile(aklt_spec.payload, 5)
         assert isinstance(profile, GapProfile)
