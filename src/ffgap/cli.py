@@ -22,8 +22,8 @@ from ._blas import set_threads
 from .coarse_grain import effective_1d, effective_2d
 from .coefficients import SQRT6, optimal_x, prefactor_1d, threshold_1d, threshold_2d
 from .lattice import box_region, rhomboid_sites
-from .operators import ChainModel, LocalProjector, region_hamiltonian
-from .spectra import chain_gap, chain_kernels, check_dim, gap_profile, spectral_gap
+from .operators import ChainModel, LocalProjector
+from .spectra import chain_gap, chain_kernels, check_dim, gap_profile, region_gap
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -175,11 +175,6 @@ def _require_kind(spec, kind: str):
     return spec.payload
 
 
-def _region_gap(cell, region) -> float:
-    check_dim(cell.d ** len(region))
-    return spectral_gap(region_hamiltonian(cell, region)).gap
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies (return (result_object, exit_code))
 # ---------------------------------------------------------------------------
@@ -234,7 +229,7 @@ def _cmd_certify(args):
         eff = effective_1d(cell, args.m2, args.R)
         gaps = {}
         for l in range(args.n // 2, args.n + 1):
-            gaps[l] = _region_gap(cell, box_region(l * eff.R, args.m2))
+            gaps[l] = region_gap(cell, box_region(l * eff.R, args.m2)).gap
         cert = criteria.certify_quasi1d(cell, args.m2, args.R, args.n, gaps, effective=eff)
     elif args.criterion == "2d":
         spec = resolve_model(args.model)
@@ -245,7 +240,7 @@ def _cmd_certify(args):
         for l1 in window:
             for l2 in window:
                 sites, _ = rhomboid_sites(l1, l2, args.R)
-                gaps[(l1, l2)] = _region_gap(cell, sites)
+                gaps[(l1, l2)] = region_gap(cell, sites).gap
         cert = criteria.certify_2d(cell, args.R, args.n, gaps, effective=eff)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown criterion {args.criterion!r}")

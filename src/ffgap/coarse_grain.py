@@ -40,10 +40,10 @@ from .operators import (
     LocalProjector,
     SparseHermitianOperator,
     embed,
-    projector_complement_kernel,
+    positive_eigenspace,
+    region_terms,
 )
-
-POSITIVE_EIG_RTOL = 1e-10
+from .spectra import PSD_DENSE_CUTOFF
 
 
 class CellRejection(ValueError):
@@ -128,13 +128,12 @@ def _translate(shape: InteractionShape, anchor: Coord) -> tuple[Coord, ...]:
     return tuple((anchor[0] + ox, anchor[1] + oy) for ox, oy in shape.offsets)
 
 
-def _positive_spectrum_bounds(arr: np.ndarray) -> tuple[float, float]:
-    vals = np.linalg.eigvalsh(arr)
-    lam_max = float(vals[-1])
-    if lam_max <= 0.0:
+def _effective_projector(arr: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The complement of a block operator's kernel, and its least and largest positive eigenvalues."""
+    vals, support = positive_eigenspace(arr)
+    if not vals.size:
         raise ValueError("block operator is zero; no positive spectrum")
-    positive = vals[vals > POSITIVE_EIG_RTOL * lam_max]
-    return float(positive[0]), lam_max
+    return support @ support.conj().T, float(vals[0]), float(vals[-1])
 
 
 def _permute_factors(arr: np.ndarray, region: SiteRegion, order, d: int) -> np.ndarray:
@@ -169,28 +168,22 @@ def group_1d(
     region = box_region(m1, m2)
     dim = cell.d ** len(region)
     blocks = [SparseHermitianOperator.zero(dim) for _ in range(m - 1)]
-    for anchor in region.sites:
-        for shape, proj in cell.terms:
-            translate = _translate(shape, anchor)
-            if not all(site in region for site in translate):
-                continue
-            strips = {_strip_of(site, R) for site in translate}
-            term = embed(proj, translate, region, cell.d)
-            if len(strips) == 1:
-                j = strips.pop()
-                if j == 1:
-                    blocks[0] = blocks[0] + term
-                elif j == m:
-                    blocks[m - 2] = blocks[m - 2] + term
-                else:
-                    blocks[j - 2] = blocks[j - 2] + 0.5 * term
-                    blocks[j - 1] = blocks[j - 1] + 0.5 * term
-            elif len(strips) == 2 and max(strips) - min(strips) == 1:
-                blocks[min(strips) - 1] = blocks[min(strips) - 1] + term
+    for proj, translate in region_terms(cell, region):
+        strips = {_strip_of(site, R) for site in translate}
+        term = embed(proj, translate, region, cell.d)
+        if len(strips) == 1:
+            j = strips.pop()
+            if j == 1:
+                blocks[0] = blocks[0] + term
+            elif j == m:
+                blocks[m - 2] = blocks[m - 2] + term
             else:
-                raise CellRejection(
-                    "term spans non-adjacent strips", (shape, anchor, sorted(strips))
-                )
+                blocks[j - 2] = blocks[j - 2] + 0.5 * term
+                blocks[j - 1] = blocks[j - 1] + 0.5 * term
+        elif len(strips) == 2 and max(strips) - min(strips) == 1:
+            blocks[min(strips) - 1] = blocks[min(strips) - 1] + term
+        else:
+            raise CellRejection("term spans non-adjacent strips", (translate, sorted(strips)))
     return [b.assert_hermitian() for b in blocks]
 
 
@@ -198,8 +191,6 @@ def effective_1d(
     cell: InteractionCell,
     m2: int,
     R: int,
-    metaspin_cap: int = 4096,
-    dense_cap: int = 4096,
 ) -> EffectiveModel1D:
     """One quasi-1D coarse-graining step: bulk block -> effective bond projector.
 
@@ -210,29 +201,24 @@ def effective_1d(
     """
     d = cell.d
     metaspin_dim = d ** (R * m2)
-    if metaspin_dim > metaspin_cap:
+    if metaspin_dim > PSD_DENSE_CUTOFF:
         raise ValueError(
-            f"metaspin dimension overflow: {metaspin_dim} exceeds cap {metaspin_cap}"
+            f"metaspin dimension overflow: {metaspin_dim} exceeds cap {PSD_DENSE_CUTOFF}"
         )
     pair_dim = metaspin_dim ** 2
-    if pair_dim > dense_cap:
+    if pair_dim > PSD_DENSE_CUTOFF:
         raise ValueError(
             f"metaspin dimension overflow: two-strip block dimension {pair_dim} "
-            f"exceeds dense cap {dense_cap}"
+            f"exceeds dense cap {PSD_DENSE_CUTOFF}"
         )
     region = box_region(2 * R, m2)
     block = SparseHermitianOperator.zero(pair_dim)
-    for anchor in region.sites:
-        for shape, proj in cell.terms:
-            translate = _translate(shape, anchor)
-            if not all(site in region for site in translate):
-                continue
-            strips = {_strip_of(site, R) for site in translate}
-            weight = 0.5 if len(strips) == 1 else 1.0
-            block = block + weight * embed(proj, translate, region, d)
+    for proj, translate in region_terms(cell, region):
+        weight = 0.5 if len({_strip_of(site, R) for site in translate}) == 1 else 1.0
+        block = block + weight * embed(proj, translate, region, d)
     arr = block.assert_hermitian().toarray()
-    lam_min, lam_max = _positive_spectrum_bounds(arr)
-    p_eff = LocalProjector(2, metaspin_dim, projector_complement_kernel(arr))
+    projector, lam_min, lam_max = _effective_projector(arr)
+    p_eff = LocalProjector(2, metaspin_dim, projector)
     return EffectiveModel1D(
         metaspin_dim=metaspin_dim,
         P_eff=p_eff,
@@ -304,8 +290,6 @@ _BULK_WEIGHTS = {"within_box": 0.25, "side_pair": 0.5, "corner_quad": 1.0}
 def effective_2d(
     cell: InteractionCell,
     R: int,
-    metaspin_cap: int = 4096,
-    dense_cap: int = 4096,
 ) -> EffectiveModel2D:
     """One 2D coarse-graining step: bulk plaquette block -> effective projector.
 
@@ -317,15 +301,15 @@ def effective_2d(
     classify_2d(cell, R)
     d = cell.d
     metaspin_dim = d ** (R * R)
-    if metaspin_dim > metaspin_cap:
+    if metaspin_dim > PSD_DENSE_CUTOFF:
         raise ValueError(
-            f"metaspin dimension overflow: {metaspin_dim} exceeds cap {metaspin_cap}"
+            f"metaspin dimension overflow: {metaspin_dim} exceeds cap {PSD_DENSE_CUTOFF}"
         )
     window_dim = metaspin_dim ** 4
-    if window_dim > dense_cap:
+    if window_dim > PSD_DENSE_CUTOFF:
         raise ValueError(
             f"metaspin dimension overflow: plaquette block dimension {window_dim} "
-            f"exceeds dense cap {dense_cap}"
+            f"exceeds dense cap {PSD_DENSE_CUTOFF}"
         )
     centers = [(0, 0), (0, R), (R, 0), (R, R)]
     box_major = [site for center in centers for site in box_sites(center, R)]
@@ -339,8 +323,8 @@ def effective_2d(
             kind, _ = classify_translate(shape, anchor, R)
             block = block + _BULK_WEIGHTS[kind] * embed(proj, translate, region, d)
     arr = _permute_factors(block.assert_hermitian().toarray(), region, box_major, d)
-    lam_min, lam_max = _positive_spectrum_bounds(arr)
-    h_plaq = LocalProjector(4, metaspin_dim, projector_complement_kernel(arr))
+    projector, lam_min, lam_max = _effective_projector(arr)
+    h_plaq = LocalProjector(4, metaspin_dim, projector)
     return EffectiveModel2D(
         metaspin_dim=metaspin_dim,
         h_plaquette=h_plaq,
@@ -364,22 +348,18 @@ def group_2d(
     corner_map = {p: frozenset(plaquette_corner_boxes(p, R)) for p in plaqs.plaquettes}
     dim = cell.d ** len(region)
     blocks = {p: SparseHermitianOperator.zero(dim) for p in plaqs.plaquettes}
-    for anchor in region.sites:
-        for shape, proj in cell.terms:
-            translate = _translate(shape, anchor)
-            if not all(site in region for site in translate):
-                continue
-            boxes = frozenset(box_center(site, R) for site in translate)
-            eligible = [p for p, corners in corner_map.items() if boxes <= corners]
-            if not eligible:
-                raise CellRejection(
-                    "translate's boxes are not covered by any plaquette",
-                    (shape, anchor, tuple(sorted(boxes))),
-                )
-            term = embed(proj, translate, region, cell.d)
-            weight = 1.0 / len(eligible)
-            for p in eligible:
-                blocks[p] = blocks[p] + weight * term
+    for proj, translate in region_terms(cell, region):
+        boxes = frozenset(box_center(site, R) for site in translate)
+        eligible = [p for p, corners in corner_map.items() if boxes <= corners]
+        if not eligible:
+            raise CellRejection(
+                "translate's boxes are not covered by any plaquette",
+                (translate, tuple(sorted(boxes))),
+            )
+        term = embed(proj, translate, region, cell.d)
+        weight = 1.0 / len(eligible)
+        for p in eligible:
+            blocks[p] = blocks[p] + weight * term
     return {p: b.assert_hermitian() for p, b in blocks.items()}
 
 

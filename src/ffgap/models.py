@@ -3,8 +3,8 @@
 Every constructor returns a ModelSpec whose frustration-freeness (ground
 energy zero at each length) has been verified numerically up to
 ``ff_check_depth``; rank-based sufficient conditions are treated as
-advisory input validation only. Chains are checked by their kernel
-recursion (``spectra.chain_kernels``), 2D cells by diagonalization.
+advisory input validation only. Chains and 2D cells are checked by their
+kernel recursion (``spectra.chain_kernels``, ``spectra.region_kernels``).
 """
 
 from __future__ import annotations
@@ -14,17 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
 
 from . import spectra
 from .lattice import InteractionShape, box_region
-from .operators import (
-    ChainModel,
-    InteractionCell,
-    LocalProjector,
-    chain_hamiltonian,
-    region_hamiltonian,
-)
+from .operators import ChainModel, InteractionCell, LocalProjector
 
 FF_ZERO_TOL = 1e-10
 MAX_REGENERATIONS = 16
@@ -53,46 +46,37 @@ class ModelSpec:
 # frustration-freeness verification
 # ---------------------------------------------------------------------------
 
-def _ground_energy(H) -> tuple[float, float]:
-    """(ground energy, spectral scale) of a sparse Hermitian operator."""
-    mat = H.matrix
-    if H.dim <= spectra.DENSE_CUTOFF:
-        vals = np.linalg.eigvalsh(mat.toarray())
-        return float(vals[0]), max(1.0, float(vals[-1]))
-    v0 = spectra.start_vector(H.dim, mat.dtype)
-    lam_max = float(eigsh(mat, k=1, which="LA", return_eigenvectors=False, v0=v0)[0])
-    lam_min = float(eigsh(mat, k=1, which="SA", return_eigenvectors=False, tol=1e-12, v0=v0)[0])
-    return lam_min, max(1.0, lam_max)
+def _box_is_ff(cell: InteractionCell, region) -> bool:
+    K = spectra.region_kernels(cell, region)
+    if K is None:  # past the kernel SVD budget: diagonalized
+        return spectra.region_gap(cell, region).kernel_dim > 0
+    return K.shape[1] > 0
 
 
 def frustration_free(spec_payload, kind: str, depth: int) -> bool:
     """Numerically check ground energy 0 at every size up to ``depth``.
 
-    Chains are checked at lengths 2..depth: a length passes when its kernel
-    from ``spectra.chain_kernels`` is nonempty, and lengths past that
-    recursion's cap by diagonalization. 2D cells are diagonalized on all
-    boxes (a, b) with a, b <= depth whose Hilbert space stays
-    dense-diagonalizable.
+    A window passes when its kernel, built without diagonalization by
+    ``spectra.chain_kernels`` or ``spectra.region_kernels``, is nonempty;
+    windows past the kernel SVD budget are diagonalized (dense, up to
+    ``spectra.DENSE_FALLBACK_CUTOFF``; larger ones raise ValueError).
+    Chains are checked at lengths 2..depth, 2D cells on all boxes (a, b)
+    with a, b <= depth of dimension at most ``spectra.DENSE_CUTOFF``.
     """
     if kind == "chain":
         kernels = spectra.chain_kernels(spec_payload, depth)
         if any(K.shape[1] == 0 for K in kernels[1:]):
             return False
-        for m in range(max(2, len(kernels) + 1), depth + 1):
-            energy, scale = _ground_energy(chain_hamiltonian(spec_payload, m))
-            if energy > FF_ZERO_TOL * scale:
-                return False
-        return True
-    d = spec_payload.d
-    for a in range(1, depth + 1):
-        for b in range(a, depth + 1):
-            if d ** (a * b) > spectra.DENSE_CUTOFF:
-                continue
-            H = region_hamiltonian(spec_payload, box_region(a, b))
-            energy, scale = _ground_energy(H)
-            if energy > FF_ZERO_TOL * scale:
-                return False
-    return True
+        return all(
+            spectra.chain_gap(spec_payload, m, FF_ZERO_TOL, kernels).kernel_dim > 0
+            for m in range(len(kernels) + 1, depth + 1)
+        )
+    return all(
+        _box_is_ff(spec_payload, box_region(a, b))
+        for a in range(1, depth + 1)
+        for b in range(a, depth + 1)
+        if spec_payload.d ** (a * b) <= spectra.DENSE_CUTOFF
+    )
 
 
 # ---------------------------------------------------------------------------

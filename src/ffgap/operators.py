@@ -263,25 +263,30 @@ def embed(
     return SparseHermitianOperator(mat.tocsr(), total_dim)
 
 
-def projector_complement_kernel(A, tol: float = 1e-10) -> np.ndarray:
-    """The projection I - (projector onto the numerical kernel of A).
+def positive_eigenspace(A, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a Hermitian PSD matrix above tol * lambda_max, and their eigenvectors.
 
-    A must be Hermitian PSD (eigenvalues below -tol*lambda_max are
-    rejected); the result is dense, idempotent, and has the same kernel
-    as A. The zero operator maps to the zero projection.
+    One dense ``eigh``. Eigenvalues below -tol * lambda_max are rejected as
+    not PSD (below -tol when lambda_max <= 0, where nothing is positive).
     """
     if isinstance(A, SparseHermitianOperator):
         A = A.toarray()
-    A = np.asarray(A)
-    vals, vecs = np.linalg.eigh(A)
-    lam_max = float(vals[-1]) if vals.size else 0.0
-    if lam_max <= 0.0:
-        if vals.size and vals[0] < -tol:
-            raise ValueError(f"operator has negative eigenvalue {vals[0]}")
-        return np.zeros_like(A, dtype=np.complex128)
-    if vals[0] < -tol * lam_max:
+    vals, vecs = np.linalg.eigh(np.asarray(A))
+    scale = float(vals[-1]) if vals.size and vals[-1] > 0.0 else 1.0
+    if vals.size and vals[0] < -tol * scale:
         raise ValueError(f"operator has negative eigenvalue {vals[0]} (not PSD)")
-    support = vecs[:, vals > tol * lam_max]
+    keep = vals > tol * scale
+    return vals[keep], vecs[:, keep]
+
+
+def projector_complement_kernel(A, tol: float = 1e-10) -> np.ndarray:
+    """The projection I - (projector onto the numerical kernel of A).
+
+    A must be Hermitian PSD (see ``positive_eigenspace``); the result is
+    dense, idempotent, and has the same kernel as A. The zero operator maps
+    to the zero projection.
+    """
+    _, support = positive_eigenspace(A, tol)
     return support @ support.conj().T
 
 
@@ -312,15 +317,20 @@ def chain_hamiltonian(model: ChainModel, m: int) -> SparseHermitianOperator:
     return total.assert_hermitian()
 
 
-def region_hamiltonian(cell: InteractionCell, region: SiteRegion) -> SparseHermitianOperator:
-    """Sum of all cell terms whose translates fit inside the region."""
-    d = cell.d
-    total = SparseHermitianOperator.zero(d ** len(region))
+def region_terms(cell: InteractionCell, region: SiteRegion):
+    """Yield (projector, translated sites) for every cell term translate inside the region."""
     for x in region.sites:
         for shape, proj in cell.terms:
             translate = tuple((x[0] + o[0], x[1] + o[1]) for o in shape.offsets)
             if all(site in region for site in translate):
-                total = total + embed(proj, translate, region, d)
+                yield proj, translate
+
+
+def region_hamiltonian(cell: InteractionCell, region: SiteRegion) -> SparseHermitianOperator:
+    """Sum of all cell terms whose translates fit inside the region."""
+    total = SparseHermitianOperator.zero(cell.d ** len(region))
+    for proj, translate in region_terms(cell, region):
+        total = total + embed(proj, translate, region, cell.d)
     return total.assert_hermitian()
 
 

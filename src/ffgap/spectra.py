@@ -1,14 +1,17 @@
-"""Spectral gaps, least-eigenvalue margins, chain kernels, and boundary gap profiles.
+"""Spectral gaps, least-eigenvalue margins, window kernels, and boundary gap profiles.
 
-Dense diagonalization below a size cutoff, implicitly restarted Lanczos
-(ARPACK) above it. Iterative results carry an explicit residual check so a
-silently unconverged eigenvalue cannot masquerade as a gap. Every ARPACK
-start vector is seeded, so reruns are identical.
-
-Chain kernels are built without diagonalization by the frustration-free
-recursion K_m = (K_{m-1} (x) C^d) & ker P_{m-1,m} (the finitely correlated
-ground-space structure of Fannes, Nachtergaele and Werner). A chain gap
-computed from such a basis is cross-checked against it and deflated by it.
+Every gap of a window has a kernel basis built without diagonalization: the
+ground space of a frustration-free window is the intersection of the
+kernels of its local terms, so it grows one site at a time,
+K <- (K (x) C^d) & ker h for each term h whose last site was just added
+(the finitely correlated ground-space structure of Fannes, Nachtergaele and
+Werner). ``chain_kernels`` and ``region_kernels`` are the chain and 2D
+cases of that one recursion. A gap from such a basis is cross-checked
+against it and deflated by it: dense below a size cutoff, one Lanczos
+(ARPACK) solve above it, with an explicit residual check so a silently
+unconverged eigenvalue cannot masquerade as a gap. Without a basis, a gap is
+dense or refused. Every ARPACK start vector is seeded, so reruns are
+identical.
 """
 
 from __future__ import annotations
@@ -22,16 +25,24 @@ from scipy.linalg import LinAlgError, cholesky
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from ._blas import single_thread
-from .operators import ChainModel, LocalProjector, SparseHermitianOperator, chain_hamiltonian
+from .lattice import SiteRegion
+from .operators import (
+    ChainModel,
+    InteractionCell,
+    LocalProjector,
+    SparseHermitianOperator,
+    chain_hamiltonian,
+    region_hamiltonian,
+    region_terms,
+)
 
 # size cutoffs (Hilbert-space dimensions)
-DENSE_CUTOFF = 2048  # spectral_gap without a kernel basis: dense up to here
+DENSE_CUTOFF = 2048  # cell boxes up to here are checked for frustration-freeness
 KERNEL_DENSE_CUTOFF = 512  # spectral_gap with a kernel basis: dense up to here, deflated above
-DENSE_FALLBACK_CUTOFF = 8192
+DENSE_FALLBACK_CUTOFF = 8192  # spectral_gap without a kernel basis: dense up to here, refused above
 PSD_DENSE_CUTOFF = 4096
 MAX_ED_DIM = 1 << 16  # no window above this is assembled (the AKLT profile at 3^10 fits)
-# widest kernel of the Lanczos sweep, and of the chain-kernel recursion
-MAX_SWEEP_K = 64
+KERNEL_SVD_BUDGET = 1 << 30  # largest cost d^m (d k)^2 of one SVD of the kernel recursion
 
 RESIDUAL_RTOL = 1e-8
 MARGIN_RTOL = 1e-9  # an inequality holds when its margin is >= -MARGIN_RTOL * scale
@@ -48,8 +59,8 @@ class GapReport:
     ``gap`` is the smallest eigenvalue above the kernel threshold
     zero_tol * max(1, lambda_max), or +inf when no eigenvalue exceeds it
     (zero operator). ``residual`` is the relative eigenpair residual of the
-    gap eigenvalue (0 for dense computations). ``method`` is "dense",
-    "iterative" (Lanczos sweep) or "deflated" (Lanczos on H + s Pi_K).
+    gap eigenvalue (0 for dense computations). ``method`` is "dense" or
+    "deflated" (Lanczos on H + s Pi_K).
     """
 
     dim: int
@@ -186,6 +197,11 @@ def _least_eigenvalue(apply, dim, dtype, scale: float, tol: float = 0.0, v0=None
 # gaps
 # ---------------------------------------------------------------------------
 
+def _eigvalsh(arr: np.ndarray) -> np.ndarray:
+    """Dense ascending eigenvalues, in real arithmetic when the entries are real."""
+    return np.linalg.eigvalsh(arr.real if np.iscomplexobj(arr) and not arr.imag.any() else arr)
+
+
 def _dense_report(vals: np.ndarray, zero_tol: float) -> GapReport:
     """The gap report of a full ascending spectrum."""
     dim = len(vals)
@@ -232,7 +248,7 @@ def _kernel_report(apply, target, dim, arr, kernel, zero_tol, method) -> GapRepo
         dense = arr if arr is not None else _densify(target, dim)
         if dense is None:
             raise ValueError("dense method requested for an operator that cannot be densified")
-        vals = np.linalg.eigvalsh(dense)
+        vals = _eigvalsh(dense)
         report = _dense_report(vals, zero_tol)
         check_kernel(zero_tol * max(1.0, float(vals[-1])))
         if report.kernel_dim != k:
@@ -312,77 +328,32 @@ def spectral_gap(
     lambda_max). Iterative runs raise if the residual of the gap eigenpair
     exceeds 1e-8 relative to the spectral scale.
 
-    Without ``kernel``, dense diagonalization is used up to dimension 2048
-    and a Lanczos sweep over the k = 8, 16, 32, 64 lowest eigenvalues above
-    it; ``method`` may force "dense" or "iterative".
-
     ``kernel`` is an orthonormal basis (dim x k) of the claimed kernel, as
-    from ``chain_kernels``. It is cross-checked (raising on a mismatch) and
-    the gap is then dense up to dimension 512, and above it the lowest
-    eigenvalue of H + max(1, lambda_max) Pi_K by one Lanczos solve
-    ("deflated"), which goes dense after DEFLATED_RESTARTS restarts when
-    the operator can be densified; ``method`` may force "dense" or
-    "deflated".
+    from ``chain_kernels`` or ``region_kernels``. It is cross-checked
+    (raising on a mismatch) and the gap is then dense up to dimension 512,
+    and above it the lowest eigenvalue of H + max(1, lambda_max) Pi_K by one
+    Lanczos solve ("deflated"), which goes dense after DEFLATED_RESTARTS
+    restarts when the operator can be densified; ``method`` may force
+    "dense" or "deflated".
+
+    Without ``kernel`` the gap is dense up to DENSE_FALLBACK_CUTOFF, and
+    refused above it and for matrix-free operators.
     """
     apply, target, dim, arr = _normalize(op)
     if kernel is not None:
         if method not in (None, "dense", "deflated"):
             raise ValueError(f"unknown method {method!r} for a gap with a kernel basis")
         return _kernel_report(apply, target, dim, arr, kernel, zero_tol, method)
-    if method not in (None, "dense", "iterative"):
-        raise ValueError(f"unknown method {method!r}")
-    if method is None:
-        method = "dense" if (dim <= DENSE_CUTOFF and not isinstance(target, LinearOperator)) else "iterative"
-    if method == "dense":
-        if arr is None:
-            arr = _densify(target, dim)
-        if arr is None:
-            raise ValueError("dense method requested for an operator that cannot be densified")
-        return _dense_report(np.linalg.eigvalsh(arr), zero_tol)
-
-    if sp.issparse(target) and target.nnz == 0:
-        return GapReport(dim, 0.0, dim, math.inf, "iterative", zero_tol, 0.0)
-
-    lam_max = _largest_eigenvalue(target, dim)
-    scale = max(1.0, lam_max)
-    threshold = zero_tol * scale
-
-    k = 8
-    v0 = start_vector(dim, target.dtype)
-    while True:
-        k_eff = min(k, dim - 1)
-        with single_thread():
-            vals, vecs = _eigsh(target, k=k_eff, which="SA", maxiter=_ARPACK_MAXITER, v0=v0)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        above = vals > threshold
-        if above.any():
-            break
-        if k_eff >= min(MAX_SWEEP_K, dim - 1):
-            arr = _densify(target, dim)
-            if arr is not None:
-                return _dense_report(np.linalg.eigvalsh(arr), zero_tol)
-            raise RuntimeError(
-                f"kernel sweep exhausted at k={k_eff} without finding a positive "
-                "eigenvalue; the kernel is too large for the iterative path"
-            )
-        k *= 2
-
-    idx = int(np.nonzero(above)[0][0])
-    gap = float(vals[idx])
-    v = vecs[:, idx]
-    residual = float(np.linalg.norm(apply(v) - gap * v)) / scale
-    if residual > RESIDUAL_RTOL:
-        raise RuntimeError(f"gap eigenpair residual {residual:.3e} exceeds {RESIDUAL_RTOL}")
-    return GapReport(
-        dim=dim,
-        ground_energy=float(vals[0]),
-        kernel_dim=idx,
-        gap=gap,
-        method="iterative",
-        zero_tol=zero_tol,
-        residual=residual,
-    )
+    if method not in (None, "dense"):
+        raise ValueError(f"unknown method {method!r} for a gap without a kernel basis")
+    if arr is None:
+        arr = _densify(target, dim)
+    if arr is None or dim > DENSE_FALLBACK_CUTOFF:
+        raise ValueError(
+            f"a gap without a kernel basis is dense, up to dimension {DENSE_FALLBACK_CUTOFF} "
+            "and not for matrix-free operators; chain_gap and region_gap build the basis"
+        )
+    return _dense_report(_eigvalsh(arr), zero_tol)
 
 
 def psd_margin(
@@ -455,7 +426,7 @@ def certified_margin(op, scale: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# chain kernels by bond recursion
+# frustration-free kernels, one site at a time
 # ---------------------------------------------------------------------------
 
 def _null_columns(image: np.ndarray) -> np.ndarray:
@@ -468,77 +439,124 @@ def _null_columns(image: np.ndarray) -> np.ndarray:
     return vh[int((s > NULL_SVD_TOL).sum()):].conj().T
 
 
+def _cut(K: np.ndarray, d: int, matrix: np.ndarray, positions: tuple[int, ...]) -> np.ndarray:
+    """K . null(h K): the span of K annihilated by the term h on the given factor positions.
+
+    ``positions`` are 0-based tensor-factor positions in the factor order of
+    ``matrix`` (they need be neither sorted nor contiguous).
+    """
+    m, k, t = round(math.log(K.shape[0], d)), K.shape[1], len(positions)
+    h = matrix.reshape((d,) * (2 * t))
+    image = np.tensordot(h, K.reshape((d,) * m + (k,)), axes=(range(t, 2 * t), positions))
+    image = np.moveaxis(image, range(t), positions)
+    return K @ _null_columns(image.reshape(K.shape))
+
+
+def _grow(d: int, site_cuts):
+    """Yield the kernel of a window after each added site, in canonical site order.
+
+    Each site tensors the kernel with C^d, K <- K (x) C^d, then cuts it by
+    the terms of ``site_cuts[i]`` ((matrix, positions) pairs), the terms
+    whose last site is site i. Stops before the first site whose SVD cost
+    d^m (d k)^2 exceeds KERNEL_SVD_BUDGET.
+    """
+    K = np.ones((1, 1), dtype=np.complex128)
+    for cuts in site_cuts:
+        if K.shape[0] * d * (K.shape[1] * d) ** 2 > KERNEL_SVD_BUDGET:
+            return
+        K = np.kron(K, np.eye(d))
+        for matrix, positions in cuts:
+            K = _cut(K, d, matrix, positions)
+        yield K
+
+
 def _open_kernels(model: ChainModel, n: int):
     """Yield the kernels of P_L plus the bonds on lengths 1..n (P_R left out).
 
-    P_L is dropped for periodic chains. Stops early, before the first length
-    whose kernel has more than MAX_SWEEP_K columns.
+    P_L is dropped for periodic chains.
     """
-    d = model.d
-    bond = model.P.matrix.reshape(d, d, d, d)
-    if model.bc == "open" and not model.P_L.is_zero:
-        K = _null_columns(model.P_L.matrix)
-    else:
-        K = np.eye(d, dtype=np.complex128)
-    for m in range(1, n + 1):
-        if m > 1:
-            # P on sites (m-1, m) applied to the columns K[:, j] (x) e_s
-            k = K.shape[1]
-            K3 = K.reshape(d ** (m - 2), d, k)
-            image = np.einsum("pqxs,axj->apqjs", bond, K3, optimize=True)
-            null = _null_columns(image.reshape(d**m, k * d))
-            coeffs = null.reshape(k, d, null.shape[1])
-            K = np.einsum("axj,jyc->axyc", K3, coeffs, optimize=True).reshape(d**m, null.shape[1])
-        if K.shape[1] > MAX_SWEEP_K:
-            return
-        yield K
+    first = [] if model.bc != "open" or model.P_L.is_zero else [(model.P_L.matrix, (0,))]
+    return _grow(model.d, [first] + [[(model.P.matrix, (i - 1, i))] for i in range(1, n)])
 
 
 def _close(model: ChainModel, K: np.ndarray, m: int) -> np.ndarray:
     """Cut an open-chain kernel of length m by P_R (open) or the wrap bond (periodic)."""
-    d, k = model.d, K.shape[1]
     if model.bc == "periodic":
-        if m == 1:
-            return K
         # P on the factor order (site m, site 1)
-        bond = model.P.matrix.reshape(d, d, d, d)
-        K4 = K.reshape(d, d ** (m - 2), d, k)
-        image = np.einsum("qpsr,rbsj->pbqj", bond, K4, optimize=True)
-    elif model.P_R.is_zero:
-        return K
-    else:
-        K3 = K.reshape(d ** (m - 1), d, k)
-        image = np.einsum("yx,axj->ayj", model.P_R.matrix, K3, optimize=True)
-    return K @ _null_columns(image.reshape(d**m, k))
+        return K if m == 1 else _cut(K, model.d, model.P.matrix, (m - 1, 0))
+    return K if model.P_R.is_zero else _cut(K, model.d, model.P_R.matrix, (m - 1,))
 
 
 def chain_kernels(model: ChainModel, n: int) -> list[np.ndarray]:
     """Orthonormal kernel bases K_1, ..., K_n of the model's m-site chains.
 
-    Built without diagonalization: K_1 = ker P_L (C^d when P_L is zero),
-    K_m = (K_{m-1} (x) C^d) & ker P_{m-1,m} by a thin SVD on d * dim K_{m-1}
-    columns, then one more cut by P_R or, for periodic chains, by the
-    wrap-around bond. Entry m-1 is a (d^m, dim K_m) array. The list stops
-    before the first length whose open kernel has more than MAX_SWEEP_K
-    columns, so it can be shorter than n.
+    Built without diagonalization (``_grow``): K_1 = ker P_L (C^d when P_L
+    is zero), K_m = (K_{m-1} (x) C^d) & ker P_{m-1,m}, then one more cut by
+    P_R or, for periodic chains, by the wrap-around bond. Entry m-1 is a
+    (d^m, dim K_m) array. The list stops before the first length past
+    KERNEL_SVD_BUDGET, so it can be shorter than n.
     """
     return [_close(model, K, m) for m, K in enumerate(_open_kernels(model, n), start=1)]
+
+
+def region_kernels(cell: InteractionCell, region: SiteRegion) -> np.ndarray | None:
+    """Orthonormal kernel basis (d^|region|, dim K) of a cell's region Hamiltonian.
+
+    Built without diagonalization by ``_grow``, each term translate cutting
+    the kernel at its last site in the canonical order. None when the
+    recursion passes KERNEL_SVD_BUDGET.
+    """
+    site_cuts = [[] for _ in region.sites]
+    for proj, translate in region_terms(cell, region):
+        positions = tuple(region.index(site) for site in translate)
+        site_cuts[max(positions)].append((proj.matrix, positions))
+    K, added = None, 0
+    for added, K in enumerate(_grow(cell.d, site_cuts), start=1):
+        pass
+    return K if added == len(region) else None
+
+
+def _window_gap(dim: int, kernel, assemble, zero_tol: float = 1e-10) -> GapReport:
+    """spectral_gap of a window from its kernel basis; dense when there is none.
+
+    Without one it refuses above DENSE_FALLBACK_CUTOFF before assembling.
+    """
+    if kernel is None and dim > DENSE_FALLBACK_CUTOFF:
+        raise ValueError(
+            f"window dimension {dim} is past the kernel SVD budget and above the "
+            f"dense cutoff {DENSE_FALLBACK_CUTOFF}"
+        )
+    return spectral_gap(assemble(), zero_tol=zero_tol, kernel=kernel)
 
 
 def chain_gap(
     model: ChainModel, m: int, zero_tol: float = 1e-10, kernels: list | None = None
 ) -> GapReport:
-    """spectral_gap of the m-site chain, from its kernel basis when one is known.
+    """spectral_gap of the m-site chain from its kernel basis.
 
     ``kernels`` is the output of ``chain_kernels(model, n)`` for some n (built
-    here when omitted). Lengths past the recursion cap take the plain
-    spectral_gap route. Raises ValueError above MAX_ED_DIM before assembling.
+    here when omitted). Lengths past the kernel SVD budget are dense up to
+    DENSE_FALLBACK_CUTOFF. Raises ValueError above MAX_ED_DIM, or above the
+    dense cutoff without a kernel basis, before assembling.
     """
     check_dim(model.d**m)
     if kernels is None:
         kernels = chain_kernels(model, m)
     kernel = kernels[m - 1] if m <= len(kernels) else None
-    return spectral_gap(chain_hamiltonian(model, m), zero_tol=zero_tol, kernel=kernel)
+    return _window_gap(model.d**m, kernel, lambda: chain_hamiltonian(model, m), zero_tol)
+
+
+def region_gap(cell: InteractionCell, region: SiteRegion) -> GapReport:
+    """spectral_gap of a cell's region Hamiltonian from ``region_kernels``.
+
+    Past the kernel SVD budget it is dense up to DENSE_FALLBACK_CUTOFF. Raises
+    ValueError above MAX_ED_DIM, or above the dense cutoff without a kernel
+    basis, before assembling.
+    """
+    dim = cell.d ** len(region)
+    check_dim(dim)
+    kernel = region_kernels(cell, region)
+    return _window_gap(dim, kernel, lambda: region_hamiltonian(cell, region))
 
 
 # ---------------------------------------------------------------------------

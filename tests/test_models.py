@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ffgap import models
+from ffgap import spectra
 from ffgap.models import (
     ModelSpec,
     aklt,
@@ -73,26 +73,15 @@ class TestFrustrationFree:
         assert not frustration_free(model, "chain", 4)
 
     def test_chain_check_needs_no_diagonalization(self, monkeypatch):
-        def refuse(H):
-            raise AssertionError("diagonalized a chain within the recursion cap")
+        def refuse(*args, **kwargs):
+            raise AssertionError("assembled a window within the kernel SVD budget")
 
-        monkeypatch.setattr(models, "_ground_energy", refuse)
+        monkeypatch.setattr(spectra, "chain_hamiltonian", refuse)
+        monkeypatch.setattr(spectra, "region_hamiltonian", refuse)
         assert aklt(ff_check_depth=10).ff_check_depth == 10
         assert random_ff(2, 1, 0, seed=5, ff_check_depth=10).regenerations == 0
-
-    def test_lengths_past_the_cap_are_diagonalized(self, monkeypatch):
-        # rank-1 d=3 bonds: the open kernel passes 64 columns at length 5
-        lengths = []
-        ground_energy = models._ground_energy
-
-        def record(H):
-            lengths.append(round(math.log(H.dim, 3)))
-            return ground_energy(H)
-
-        monkeypatch.setattr(models, "_ground_energy", record)
-        model = random_ff(3, 1, 1, 108, ff_check_depth=4).payload
-        assert frustration_free(model, "chain", 6)
-        assert lengths == [5, 6]
+        assert frustration_free(random_ff(3, 1, 1, 108, ff_check_depth=4).payload, "chain", 7)
+        assert commuting_cell_2d().ff_check_depth == 3
 
     def test_fixture_regenerations_unchanged(self, random_chain_d2, random_chain_d3_boundary):
         assert random_chain_d2.regenerations == 0

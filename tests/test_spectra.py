@@ -12,16 +12,25 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from ffgap import spectra
-from ffgap.models import ModelSpec, random_ff
-from ffgap.operators import ChainModel, LocalProjector, chain_hamiltonian
+from ffgap.lattice import InteractionShape, box_region, rhomboid_sites
+from ffgap.models import ModelSpec, commuting_cell_2d, frustration_free, random_cell_2d, random_ff
+from ffgap.operators import (
+    ChainModel,
+    InteractionCell,
+    LocalProjector,
+    chain_hamiltonian,
+    region_hamiltonian,
+)
 from ffgap.spectra import (
     DENSE_CUTOFF,
-    MAX_SWEEP_K,
+    KERNEL_SVD_BUDGET,
     GapProfile,
     chain_gap,
     chain_kernels,
     gap_profile,
     psd_margin,
+    region_gap,
+    region_kernels,
     spectral_gap,
 )
 
@@ -39,17 +48,9 @@ class TestSpectralGap:
         assert report.method == "dense"
 
     def test_zero_operator_has_infinite_gap(self):
-        report = spectral_gap(sp.csr_matrix((8, 8)), method="iterative")
+        report = spectral_gap(sp.csr_matrix((8, 8)))
         assert math.isinf(report.gap)
         assert report.kernel_dim == 8
-
-    def test_dense_vs_iterative_agree(self, aklt_spec):
-        ham = chain_hamiltonian(aklt_spec.payload, 6)
-        dense = spectral_gap(ham.toarray(), method="dense")
-        # the sweep widens k past the kernel until the gap eigenvalue appears
-        iterative = spectral_gap(ham, method="iterative")
-        assert iterative.gap == pytest.approx(dense.gap, rel=1e-7)
-        assert iterative.kernel_dim == dense.kernel_dim == 4
 
     def test_kernel_threshold_scales_with_lambda_max(self):
         # an eigenvalue at 1e-6 with lambda_max 1e6 sits below the relative
@@ -63,17 +64,23 @@ class TestSpectralGap:
             spectral_gap(np.eye(2), method="magic")
 
     def test_iterative_path_is_reproducible(self, aklt_spec):
-        ham = chain_hamiltonian(aklt_spec.payload, 7)  # 3^7, above the dense cutoff
-        first = spectral_gap(ham)
-        assert first.method == "iterative"
-        assert spectral_gap(ham) == first
+        first = chain_gap(aklt_spec.payload, 7)  # 3^7: one deflated Lanczos solve
+        assert first.method == "deflated"
+        assert chain_gap(aklt_spec.payload, 7) == first
+
+    def test_no_kernel_basis_is_dense_or_refused(self):
+        values = np.array([0.0, 0.3] + [1.0] * 200)
+        op = LinearOperator((202, 202), matvec=lambda v: values * v, dtype=float)
+        with pytest.raises(ValueError, match="region_gap"):
+            spectral_gap(op)
+        with pytest.raises(ValueError, match="region_gap"):
+            spectral_gap(sp.identity(8193, format="csr"))
+        with pytest.raises(ValueError, match="unknown method"):
+            spectral_gap(diag_operator(values), method="iterative")
 
     def test_linear_operator_input(self):
         values = np.array([0.0, 0.3] + [1.0] * 200)
         op = LinearOperator((202, 202), matvec=lambda v: values * v, dtype=float)
-        report = spectral_gap(op)
-        assert report.method == "iterative"
-        assert report.gap == pytest.approx(0.3, rel=1e-8)
         # a matrix-free operator cannot be densified: deflated even below 512
         kernel = np.eye(202, 1)
         report = spectral_gap(op, kernel=kernel)
@@ -95,7 +102,9 @@ class TestPsdMargin:
         got = psd_margin(op, tol=1e-10, v0=rng.standard_normal(300))
         assert got == pytest.approx(want, rel=1e-8)
 
-    def test_blas_pinned_to_one_thread_in_every_lanczos_solve(self, monkeypatch, pools, aklt_spec):
+    def test_blas_pinned_to_one_thread_in_every_lanczos_solve(
+        self, monkeypatch, pools, aklt_spec, commuting_cell_spec
+    ):
         seen = []
 
         def record(*args, **kwargs):
@@ -103,8 +112,8 @@ class TestPsdMargin:
             return eigsh(*args, **kwargs)
 
         monkeypatch.setattr(spectra, "eigsh", record)
-        # lambda_max and the k-sweep; lambda_max and the deflated solve; |lambda|max and least
-        spectral_gap(chain_hamiltonian(aklt_spec.payload, 6), method="iterative")
+        # lambda_max and the deflated solve, twice; |lambda|max and least
+        region_gap(commuting_cell_spec.payload, box_region(3, 4))
         chain_gap(aklt_spec.payload, 7)
         values = np.linspace(-1.0, 1.0, 50)
         psd_margin(LinearOperator((50, 50), matvec=lambda v: values * v, dtype=float))
@@ -251,11 +260,20 @@ class TestChainKernels:
         assert [K.shape[1] for K in chain_kernels(periodic, 6)][2:] == [1] * 4
 
     def test_recursion_stops_past_the_cap(self):
-        # rank-1 d=3 bonds: the open kernel triples each step, so the list ends early
+        # rank-1 d=3 bonds: the open kernel grows about 2.6-fold each step, and
+        # the length-8 SVD would cost 3^8 (3 k)^2 with k = 610 open columns,
+        # at least the 377 closed ones, past KERNEL_SVD_BUDGET
         model = random_ff(3, 1, 1, 108, ff_check_depth=4).payload
         kernels = chain_kernels(model, 8)
-        assert len(kernels) < 8
-        assert all(K.shape[1] <= MAX_SWEEP_K for K in kernels)
+        assert len(kernels) == 7
+        assert 3**8 * (3 * kernels[-1].shape[1]) ** 2 > KERNEL_SVD_BUDGET
+
+    def test_suite_d3_recipe_fits_the_budget(self):
+        # random_ff(3, 2, 1, 7) at m = 8: 128 kernel columns, deflated
+        model = random_ff(3, 2, 1, 7, ff_check_depth=4).payload
+        report = chain_gap(model, 8)
+        assert (report.method, report.kernel_dim) == ("deflated", 128)
+        assert report.gap > 1e-10
 
     def test_frustrated_chain_has_empty_kernels(self):
         model = ChainModel(2, LocalProjector(2, 2, np.eye(4)), LocalProjector.zero(1, 2),
@@ -266,10 +284,10 @@ class TestChainKernels:
         report = chain_gap(aklt_spec.payload, 7)
         assert report.method == "deflated"
         assert report.kernel_dim == 4
-        iterative = spectral_gap(chain_hamiltonian(aklt_spec.payload, 7))
-        assert report.gap == pytest.approx(iterative.gap, rel=1e-10)
+        kernel_dim, gap, scale = ed_kernel_and_gap(spectrum(aklt_spec.payload, 7))
+        assert kernel_dim == 4
+        assert report.gap == pytest.approx(gap, abs=1e-10 * scale)
         assert chain_gap(aklt_spec.payload, 5).method == "dense"  # 243 <= 512
-
 
     def test_clustered_gap_falls_back_to_dense(self):
         # a nearly gapless draw: gap 5.4e-6 at m=10, next eigenvalue 1.0e-5;
@@ -279,6 +297,130 @@ class TestChainKernels:
         assert (report.method, report.kernel_dim) == ("dense", 11)
         kernel_dim, gap, _ = ed_kernel_and_gap(spectrum(model, 10))
         assert report.gap == gap == pytest.approx(5.41e-6, rel=1e-3)
+
+
+class TestPastTheBudget:
+    def test_chain_gap_goes_dense(self, monkeypatch, aklt_spec):
+        monkeypatch.setattr(spectra, "KERNEL_SVD_BUDGET", 1000)
+        assert len(chain_kernels(aklt_spec.payload, 6)) < 6
+        report = chain_gap(aklt_spec.payload, 6)
+        assert (report.method, report.kernel_dim) == ("dense", 4)
+        kernel_dim, gap, scale = ed_kernel_and_gap(spectrum(aklt_spec.payload, 6))
+        assert report.gap == pytest.approx(gap, abs=1e-10 * scale)
+        assert frustration_free(aklt_spec.payload, "chain", 6)
+
+    def test_region_gap_goes_dense(self, monkeypatch, commuting_cell_spec):
+        monkeypatch.setattr(spectra, "KERNEL_SVD_BUDGET", 1000)
+        region = box_region(3, 3)
+        assert region_kernels(commuting_cell_spec.payload, region) is None
+        report = region_gap(commuting_cell_spec.payload, region)
+        assert (report.method, report.kernel_dim, report.gap) == ("dense", 1, pytest.approx(1.0))
+
+    def test_refused_above_the_dense_cutoff_before_assembly(self, monkeypatch, aklt_spec):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Hamiltonian was assembled")
+
+        monkeypatch.setattr(spectra, "KERNEL_SVD_BUDGET", 1000)
+        monkeypatch.setattr(spectra, "chain_hamiltonian", refuse)
+        with pytest.raises(ValueError, match="dense cutoff"):
+            chain_gap(aklt_spec.payload, 9)  # 3^9 > DENSE_FALLBACK_CUTOFF
+
+
+# ---------------------------------------------------------------------------
+# region kernels and region gaps
+# ---------------------------------------------------------------------------
+
+def bond_cell(rank: int, seed: int) -> InteractionCell:
+    """d=2 cell of real rank-r bond projectors on e1 and e2, orthogonal to v0 (x) v0.
+
+    The product state of v0 lies in every kernel, so the cell is
+    frustration-free, but its bond terms do not commute.
+    """
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(2)
+    w = np.kron(v0, v0) / np.linalg.norm(v0) ** 2
+    terms = []
+    for offset in ((1, 0), (0, 1)):
+        g = rng.standard_normal((4, rank))
+        q, _ = np.linalg.qr(g - np.outer(w, w @ g))
+        terms.append((InteractionShape(((0, 0), offset)), LocalProjector(2, 2, q @ q.T)))
+    return InteractionCell(d=2, terms=tuple(terms), R=2)
+
+
+REGION_CELLS = {
+    "commuting": lambda: commuting_cell_2d().payload,
+    "random_d2": lambda: random_cell_2d(2, 2, 5150).payload,
+    "random_d3": lambda: random_cell_2d(3, 2, 4).payload,
+    "bonds_rank1": lambda: bond_cell(1, 1),
+    "bonds_rank2": lambda: bond_cell(2, 1),
+}
+# the real cells (commuting, bonds) run up to 2^12; a complex dense ED at 4096
+# costs about 20 s, so the random cells stop at 3^7 (the 7-site rhomboids)
+ED_LIMIT = {"commuting": 4096, "random_d2": 3**7, "random_d3": 3**7, "bonds_rank1": 4096,
+            "bonds_rank2": 4096}
+WINDOWS = {
+    "box_2x3": box_region(2, 3),
+    "box_3x3": box_region(3, 3),
+    "box_3x4": box_region(3, 4),
+    "rhomboid_1_2": rhomboid_sites(1, 2, 1)[0],
+    "rhomboid_2_1": rhomboid_sites(2, 1, 1)[0],
+    "rhomboid_2_2": rhomboid_sites(2, 2, 1)[0],
+}
+
+
+REGION_CASES = [
+    (cell_name, window)
+    for cell_name in REGION_CELLS
+    for window, region in WINDOWS.items()
+    if (3 if cell_name == "random_d3" else 2) ** len(region) <= ED_LIMIT[cell_name]
+]
+
+
+@pytest.fixture(scope="module")
+def region_cells():
+    return {name: make() for name, make in REGION_CELLS.items()}
+
+
+def region_spectrum(cell, region):
+    """Dense ED of a region Hamiltonian, in real arithmetic when its matrix is real."""
+    H = region_hamiltonian(cell, region).toarray()
+    return np.linalg.eigvalsh(H.real if not H.imag.any() else H)
+
+
+class TestRegionKernels:
+    @pytest.mark.parametrize("cell_name, window", REGION_CASES)
+    def test_kernel_and_gap_match_dense_ed(self, cell_name, window, region_cells):
+        cell, region = region_cells[cell_name], WINDOWS[window]
+        assert cell.d ** len(region) <= ED_LIMIT[cell_name]
+        K = region_kernels(cell, region)
+        assert np.allclose(K.conj().T @ K, np.eye(K.shape[1]), atol=1e-12)
+        kernel_dim, gap, scale = ed_kernel_and_gap(region_spectrum(cell, region))
+        assert K.shape[1] == kernel_dim
+        report = region_gap(cell, region)
+        assert report.kernel_dim == kernel_dim
+        assert report.gap == pytest.approx(gap, abs=1e-10 * scale)
+
+    def test_bond_cells_need_multi_site_cuts(self, region_cells):
+        # rank 1 leaves a two-dimensional kernel on the 3 x 4 box, rank 2 one state
+        region = box_region(3, 4)
+        assert region_kernels(region_cells["bonds_rank1"], region).shape[1] == 2
+        assert region_kernels(region_cells["bonds_rank2"], region).shape[1] == 1
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 4)])
+    def test_commuting_cell_ground_state_found(self, shape, commuting_cell_spec):
+        # the old Lanczos sweep reported kernel_dim 0 and ground energy 1 here
+        report = region_gap(commuting_cell_spec.payload, box_region(*shape))
+        assert report.kernel_dim == 1
+        assert report.ground_energy == pytest.approx(0.0, abs=1e-12)
+        assert report.gap == pytest.approx(1.0, abs=1e-10)
+
+    def test_oversized_region_refused_before_assembly(self, monkeypatch, commuting_cell_spec):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Hamiltonian was assembled")
+
+        monkeypatch.setattr(spectra, "region_hamiltonian", refuse)
+        with pytest.raises(ValueError, match="exceeds the diagonalization cap"):
+            region_gap(commuting_cell_spec.payload, box_region(4, 5))
 
 
 class TestKernelCrossCheck:
