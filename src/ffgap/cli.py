@@ -22,8 +22,8 @@ from ._blas import set_threads
 from .coarse_grain import effective_1d, effective_2d
 from .coefficients import SQRT6, optimal_x, prefactor_1d, threshold_1d, threshold_2d
 from .lattice import box_region, rhomboid_sites
-from .operators import ChainModel, LocalProjector
-from .spectra import chain_gap, chain_kernels, check_dim, gap_profile, region_gap
+from .operators import ChainModel, LocalProjector, check_dim
+from .spectra import chain_gap, chain_kernels, gap_profile, region_gap
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0

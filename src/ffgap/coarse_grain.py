@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .lattice import (
     Coord,
@@ -38,8 +39,7 @@ from .operators import (
     ChainModel,
     InteractionCell,
     LocalProjector,
-    SparseHermitianOperator,
-    embed,
+    LocalSum,
     positive_eigenspace,
     region_terms,
 )
@@ -136,24 +136,11 @@ def _effective_projector(arr: np.ndarray) -> tuple[np.ndarray, float, float]:
     return support @ support.conj().T, float(vals[0]), float(vals[-1])
 
 
-def _permute_factors(arr: np.ndarray, region: SiteRegion, order, d: int) -> np.ndarray:
-    """Reorder the tensor factors of a dense operator to the given site order."""
-    perm = [region.index(site) for site in order]
-    if perm == list(range(len(perm))):
-        return arr
-    n = len(perm)
-    tensor = arr.reshape((d,) * (2 * n))
-    tensor = np.transpose(tensor, axes=perm + [n + p for p in perm])
-    return np.ascontiguousarray(tensor.reshape(arr.shape))
-
-
 # ---------------------------------------------------------------------------
 # quasi-1D grouping
 # ---------------------------------------------------------------------------
 
-def group_1d(
-    cell: InteractionCell, m1: int, m2: int, R: int
-) -> list[SparseHermitianOperator]:
+def group_1d(cell: InteractionCell, m1: int, m2: int, R: int) -> list[sp.csr_matrix]:
     """Block operators of the strip grouping, embedded on the full box.
 
     Returns the m-1 operators (m = m1/R strips); their sum reconstructs
@@ -166,25 +153,24 @@ def group_1d(
     if m < 2:
         raise ValueError(f"need at least two strips, got m = {m}")
     region = box_region(m1, m2)
-    dim = cell.d ** len(region)
-    blocks = [SparseHermitianOperator.zero(dim) for _ in range(m - 1)]
+    blocks = [[] for _ in range(m - 1)]
     for proj, translate in region_terms(cell, region):
         strips = {_strip_of(site, R) for site in translate}
-        term = embed(proj, translate, region, cell.d)
+        positions = tuple(map(region.index, translate))
         if len(strips) == 1:
             j = strips.pop()
             if j == 1:
-                blocks[0] = blocks[0] + term
+                blocks[0].append((positions, proj.matrix, 1.0))
             elif j == m:
-                blocks[m - 2] = blocks[m - 2] + term
+                blocks[m - 2].append((positions, proj.matrix, 1.0))
             else:
-                blocks[j - 2] = blocks[j - 2] + 0.5 * term
-                blocks[j - 1] = blocks[j - 1] + 0.5 * term
+                blocks[j - 2].append((positions, proj.matrix, 0.5))
+                blocks[j - 1].append((positions, proj.matrix, 0.5))
         elif len(strips) == 2 and max(strips) - min(strips) == 1:
-            blocks[min(strips) - 1] = blocks[min(strips) - 1] + term
+            blocks[min(strips) - 1].append((positions, proj.matrix, 1.0))
         else:
             raise CellRejection("term spans non-adjacent strips", (translate, sorted(strips)))
-    return [b.assert_hermitian() for b in blocks]
+    return [LocalSum((cell.d,) * len(region), terms).assemble() for terms in blocks]
 
 
 def effective_1d(
@@ -212,11 +198,15 @@ def effective_1d(
             f"exceeds dense cap {PSD_DENSE_CUTOFF}"
         )
     region = box_region(2 * R, m2)
-    block = SparseHermitianOperator.zero(pair_dim)
-    for proj, translate in region_terms(cell, region):
-        weight = 0.5 if len({_strip_of(site, R) for site in translate}) == 1 else 1.0
-        block = block + weight * embed(proj, translate, region, d)
-    arr = block.assert_hermitian().toarray()
+    terms = [
+        (
+            tuple(map(region.index, translate)),
+            proj.matrix,
+            0.5 if len({_strip_of(site, R) for site in translate}) == 1 else 1.0,
+        )
+        for proj, translate in region_terms(cell, region)
+    ]
+    arr = LocalSum((d,) * len(region), terms).assemble().toarray()
     projector, lam_min, lam_max = _effective_projector(arr)
     p_eff = LocalProjector(2, metaspin_dim, projector)
     return EffectiveModel1D(
@@ -295,7 +285,7 @@ def effective_2d(
 
     The bulk block is built on a standalone 2x2-box window with the bulk
     equidistribution weights (1/4 within-box, 1/2 side-pair, 1 corner-quad);
-    its factors are ordered box-major (boxes sorted by center, sites sorted
+    its factors are placed box-major (boxes sorted by center, sites sorted
     within each box) so the result is an operator on four metaspins.
     """
     classify_2d(cell, R)
@@ -313,16 +303,16 @@ def effective_2d(
         )
     centers = [(0, 0), (0, R), (R, 0), (R, R)]
     box_major = [site for center in centers for site in box_sites(center, R)]
-    region = SiteRegion(box_major)
-    block = SparseHermitianOperator.zero(window_dim)
-    for anchor in region.sites:
+    position = {site: i for i, site in enumerate(box_major)}
+    terms = []
+    for anchor in box_major:
         for shape, proj in cell.terms:
             translate = _translate(shape, anchor)
-            if not all(site in region for site in translate):
-                continue
-            kind, _ = classify_translate(shape, anchor, R)
-            block = block + _BULK_WEIGHTS[kind] * embed(proj, translate, region, d)
-    arr = _permute_factors(block.assert_hermitian().toarray(), region, box_major, d)
+            if all(site in position for site in translate):
+                kind, _ = classify_translate(shape, anchor, R)
+                positions = tuple(map(position.get, translate))
+                terms.append((positions, proj.matrix, _BULK_WEIGHTS[kind]))
+    arr = LocalSum((d,) * len(box_major), terms).assemble().toarray()
     projector, lam_min, lam_max = _effective_projector(arr)
     h_plaq = LocalProjector(4, metaspin_dim, projector)
     return EffectiveModel2D(
@@ -334,9 +324,7 @@ def effective_2d(
     )
 
 
-def group_2d(
-    cell: InteractionCell, m1: int, m2: int, R: int = 1
-) -> dict[Coord, SparseHermitianOperator]:
+def group_2d(cell: InteractionCell, m1: int, m2: int, R: int = 1) -> dict[Coord, sp.csr_matrix]:
     """Plaquette block operators on a rhomboid, embedded on its full site set.
 
     Every translate inside the rhomboid is equidistributed among the
@@ -346,8 +334,7 @@ def group_2d(
     region, _ = rhomboid_sites(m1, m2, R)
     plaqs = plaquette_set(m1, m2, R)
     corner_map = {p: frozenset(plaquette_corner_boxes(p, R)) for p in plaqs.plaquettes}
-    dim = cell.d ** len(region)
-    blocks = {p: SparseHermitianOperator.zero(dim) for p in plaqs.plaquettes}
+    blocks = {p: [] for p in plaqs.plaquettes}
     for proj, translate in region_terms(cell, region):
         boxes = frozenset(box_center(site, R) for site in translate)
         eligible = [p for p, corners in corner_map.items() if boxes <= corners]
@@ -356,22 +343,18 @@ def group_2d(
                 "translate's boxes are not covered by any plaquette",
                 (translate, tuple(sorted(boxes))),
             )
-        term = embed(proj, translate, region, cell.d)
-        weight = 1.0 / len(eligible)
+        positions = tuple(map(region.index, translate))
         for p in eligible:
-            blocks[p] = blocks[p] + weight * term
-    return {p: b.assert_hermitian() for p, b in blocks.items()}
+            blocks[p].append((positions, proj.matrix, 1.0 / len(eligible)))
+    return {p: LocalSum((cell.d,) * len(region), terms).assemble() for p, terms in blocks.items()}
 
 
-def plaquette_model_hamiltonian(
-    eff: EffectiveModel2D, m1: int, m2: int
-) -> SparseHermitianOperator:
+def plaquette_model_hamiltonian(eff: EffectiveModel2D, m1: int, m2: int) -> sp.csr_matrix:
     """Sum of the effective plaquette projector over all rhomboid plaquettes."""
     _, centers = rhomboid_sites(m1, m2, eff.R)
     region = SiteRegion(centers)
-    plaqs = plaquette_set(m1, m2, eff.R)
-    total = SparseHermitianOperator.zero(eff.metaspin_dim ** len(centers))
-    for p in plaqs.plaquettes:
-        corners = plaquette_corner_boxes(p, eff.R)
-        total = total + embed(eff.h_plaquette, corners, region, eff.metaspin_dim)
-    return total.assert_hermitian()
+    terms = [
+        (tuple(map(region.index, plaquette_corner_boxes(p, eff.R))), eff.h_plaquette.matrix, 1.0)
+        for p in plaquette_set(m1, m2, eff.R).plaquettes
+    ]
+    return LocalSum((eff.metaspin_dim,) * len(region), terms).assemble()

@@ -37,13 +37,12 @@ from .lattice import collar_centers, patch, plaquette_set, rhomboid_sites
 from .models import random_cell_2d, random_ff
 from .operators import (
     ChainModel,
-    EnlargedChainApplier,
     InteractionCell,
-    SparseHermitianOperator,
+    LocalSum,
     chain_hamiltonian,
+    enlarged_ring,
     patch_operator,
     q_and_f,
-    subchain_support_operator,
 )
 from .spectra import (
     MARGIN_RTOL,
@@ -390,33 +389,51 @@ def hsquared_identity_residual(model: ChainModel, m: int) -> float:
     H = chain_hamiltonian(model, m)
     Q, F = q_and_f(model, m)
     H2 = H @ H
-    diff = H2 - H - Q - F
-    return diff.frobenius_norm() / H2.frobenius_norm()
+    return float(np.linalg.norm((H2 - H - Q - F).data) / np.linalg.norm(H2.data))
+
+
+def term_images(ring: LocalSum, v: np.ndarray) -> list[np.ndarray]:
+    """[h_1 v, ..., h_{m+1} v] (zero vectors for absent boundary terms)."""
+    return [ring.apply_term(t, v) for t in range(len(ring.terms))]
+
+
+def window_from_images(l: int, c: tuple[float, ...], images: list[np.ndarray]) -> np.ndarray:
+    """B_{n,l} v = sum_a c_a h_{l+a} v (1-based cyclic l), from ``term_images(ring, v)``."""
+    period = len(images)
+    return sum(weight * images[(l + a - 1) % period] for a, weight in enumerate(c))
+
+
+def apply_q_plus_f(ring: LocalSum, images: list[np.ndarray]) -> np.ndarray:
+    """(Q+F)v from the term images ``term_images(ring, v)``.
+
+    Q+F is the sum of h_i h_j over all ordered pairs i != j, so with
+    T v = sum_j h_j v it is sum_i h_i (T v - h_i v): one more
+    application per term.
+    """
+    total = np.sum(images, axis=0)
+    return sum(ring.apply_term(t, total - image) for t, image in enumerate(images))
 
 
 def interchange_residual(
     model: ChainModel, m: int, n: int, coeffs: Deformation1D, seed: int = 0
 ) -> float:
     """Relative residual of sum_l B_{n,l} = (sum_j c_j) H on random vectors."""
-    applier = EnlargedChainApplier(model, m)
+    ring = enlarged_ring(model, m)
     rng = np.random.default_rng((seed, 0xB0))
     worst = 0.0
     total_c = sum(coeffs.c)
     for _ in range(_INTERCHANGE_SAMPLES):
-        v = rng.standard_normal(applier.dim) + 1j * rng.standard_normal(applier.dim)
+        v = rng.standard_normal(ring.dim) + 1j * rng.standard_normal(ring.dim)
         v /= np.linalg.norm(v)
-        lhs = np.zeros_like(v)
-        for l in range(1, m + 2):
-            lhs += applier.apply_window(l, coeffs.c, v)
-        rhs = total_c * applier.apply_hamiltonian(v)
+        images = term_images(ring, v)
+        lhs = sum(window_from_images(l, coeffs.c, images) for l in range(1, m + 2))
+        rhs = total_c * ring.apply(v)
         denom = max(1.0, float(np.linalg.norm(rhs)))
         worst = max(worst, float(np.linalg.norm(lhs - rhs)) / denom)
     return worst
 
 
-def rewrite_difference(
-    applier: EnlargedChainApplier, c: tuple[float, ...], v: np.ndarray
-) -> np.ndarray:
+def rewrite_difference(ring: LocalSum, c: tuple[float, ...], v: np.ndarray) -> np.ndarray:
     """D v for D = (sum c^2) H + (sum c c') (Q+F) - sum_l B_{n,l}^2.
 
     Grouped by the term applied last, sum_l B_l^2 v = sum_i h_i (sum_a c_a
@@ -425,16 +442,16 @@ def rewrite_difference(
     applications in all.
     """
     sum_c2, sum_cc = _coefficient_sums(c)
-    period = applier.period
-    images = applier.term_images(v)
+    images = term_images(ring, v)
+    period = len(images)
     total = np.sum(images, axis=0)
-    windows = [applier.window_from_images(l, c, images) for l in range(1, period + 1)]
+    windows = [window_from_images(l, c, images) for l in range(1, period + 1)]
     out = sum_c2 * total
     for i, image in enumerate(images):
         inner = sum_cc * (total - image)
         for a, weight in enumerate(c):
             inner -= weight * windows[(i - a) % period]
-        out += applier.apply_term(i + 1, inner)
+        out += ring.apply_term(i, inner)
     return out
 
 
@@ -459,12 +476,12 @@ def rewrite_margin(
     if not 3 <= n <= m / 2:
         raise ValueError(f"need 3 <= n <= m/2, got n={n}, m={m}")
     sum_c2, sum_cc = _coefficient_sums(coeffs.c)
-    applier = EnlargedChainApplier(model, m)
-    dim = applier.dim
+    ring = enlarged_ring(model, m)
+    dim = ring.dim
 
     def rhs_matvec(v):
-        images = applier.term_images(np.asarray(v, dtype=np.complex128).ravel())
-        return sum_c2 * np.sum(images, axis=0) + sum_cc * applier.apply_q_plus_f(images)
+        images = term_images(ring, np.asarray(v, dtype=np.complex128).ravel())
+        return sum_c2 * np.sum(images, axis=0) + sum_cc * apply_q_plus_f(ring, images)
 
     rng = np.random.default_rng((seed, 0xA1))
     v0 = rng.standard_normal(dim)
@@ -480,7 +497,7 @@ def rewrite_margin(
 
     def shifted_matvec(v):
         v = np.asarray(v, dtype=np.complex128).ravel()
-        return shift * v - rewrite_difference(applier, coeffs.c, v)
+        return shift * v - rewrite_difference(ring, coeffs.c, v)
 
     shifted_op = LinearOperator((dim, dim), matvec=shifted_matvec, dtype=np.complex128)
     lam_top = float(
@@ -500,14 +517,30 @@ def window_gap_margins(
 ) -> list[dict]:
     """Per-window margins of B^2 >= c_0 gamma B (bulk/edge split by l).
 
-    Windows are evaluated on their support sites, so the margin of the
-    polynomial c_0-gap inequality comes from a small dense spectrum.
+    Each window B_{n,l} takes its nonzero terms from the enlarged ring and
+    is assembled on the sites they touch, so the margin of the polynomial
+    c_0-gap inequality comes from a small dense spectrum.
     """
+    if not 1 <= n <= m / 2:
+        raise ValueError(f"need 1 <= n <= m/2, got n={n}, m={m}")
+    if len(coeffs.c) != n - 1:
+        raise ValueError(f"expected {n - 1} coefficients, got {len(coeffs.c)}")
+    ring = enlarged_ring(model, m)
+    period = m + 1
     c0 = coeffs.c[0]
     out = []
-    for l in range(1, m + 2):
-        arr, support = subchain_support_operator(model, m, n, l, coeffs)
-        vals = np.linalg.eigvalsh(arr)
+    for l in range(1, period + 1):
+        terms = []
+        for a, weight in enumerate(coeffs.c):
+            positions, block, _ = ring.terms[(l + a - 1) % period]
+            if block.any():
+                terms.append((positions, block, weight))
+        support = sorted({p for positions, _, _ in terms for p in positions})
+        window = LocalSum(
+            (model.d,) * len(support),
+            [(tuple(map(support.index, positions)), block, w) for positions, block, w in terms],
+        )
+        vals = np.linalg.eigvalsh(window.assemble().toarray())
         is_bulk = l <= m - n + 1
         kappa = c0 * (gamma_bulk if is_bulk else gamma_edge)
         margin = float(np.min(vals * (vals - kappa)))
@@ -519,7 +552,7 @@ def window_gap_margins(
                 "kappa": kappa,
                 "margin": margin,
                 "scale": scale,
-                "support": list(support),
+                "support": [p + 1 for p in support],
             }
         )
     return out
@@ -606,16 +639,15 @@ def prop2d_margin(
     c2d = coeffs_2d(n)
     H = plaquette_model_hamiltonian(eff, m1, m2)
     ambient = plaquette_set(m1, m2, eff.R)
-    total_b2 = SparseHermitianOperator.zero(H.dim)
     centers = collar_centers(ambient, n)
-    for center in centers:
-        pt = patch(n, center, ambient)
-        B = patch_operator(eff.h_plaquette.matrix, pt, c2d, eff.metaspin_dim)
-        total_b2 = total_b2 + (B @ B)
-    diff = (H @ H) + wt.beta * H - wt.alpha * total_b2
-    lam_h = _largest_eigenvalue(H.matrix, H.dim)
+    patches = (
+        patch_operator(eff.h_plaquette.matrix, patch(n, center, ambient), c2d, eff.metaspin_dim)
+        for center in centers
+    )
+    diff = (H @ H) + wt.beta * H - wt.alpha * sum(B @ B for B in patches)
+    lam_h = _largest_eigenvalue(H, H.shape[0])
     scale = max(1.0, lam_h ** 2 + wt.beta * lam_h)
-    margin = certified_margin(diff.assert_hermitian(), scale)
+    margin = certified_margin(diff, scale)
     return {
         "margin": margin,
         "scale": scale,

@@ -30,8 +30,8 @@ from .operators import (
     ChainModel,
     InteractionCell,
     LocalProjector,
-    SparseHermitianOperator,
     chain_hamiltonian,
+    check_dim,
     region_hamiltonian,
     region_terms,
 )
@@ -41,7 +41,6 @@ DENSE_CUTOFF = 2048  # cell boxes up to here are checked for frustration-freenes
 KERNEL_DENSE_CUTOFF = 512  # spectral_gap with a kernel basis: dense up to here, deflated above
 DENSE_FALLBACK_CUTOFF = 8192  # spectral_gap without a kernel basis: dense up to here, refused above
 PSD_DENSE_CUTOFF = 4096
-MAX_ED_DIM = 1 << 16  # no window above this is assembled (the AKLT profile at 3^10 fits)
 KERNEL_SVD_BUDGET = 1 << 30  # largest cost d^m (d k)^2 of one SVD of the kernel recursion
 
 RESIDUAL_RTOL = 1e-8
@@ -112,8 +111,6 @@ class GapProfile:
 
 def _normalize(op):
     """Return (apply, eigsh_target, dim, dense_array_or_None)."""
-    if isinstance(op, SparseHermitianOperator):
-        op = op.matrix
     if isinstance(op, LinearOperator):
         if op.shape[0] != op.shape[1]:
             raise ValueError("operator must be square")
@@ -125,12 +122,6 @@ def _normalize(op):
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("operator must be a square matrix")
     return (lambda v: arr @ v), arr, arr.shape[0], arr
-
-
-def check_dim(dim: int) -> None:
-    """Refuse a window above MAX_ED_DIM; called before anything is assembled."""
-    if dim > MAX_ED_DIM:
-        raise ValueError(f"window dimension {dim} exceeds the diagonalization cap {MAX_ED_DIM}")
 
 
 def _densify(target, dim):
@@ -221,7 +212,7 @@ def _dense_report(vals: np.ndarray, zero_tol: float) -> GapReport:
     )
 
 
-def _kernel_report(apply, target, dim, arr, kernel, zero_tol, method) -> GapReport:
+def _kernel_report(apply, target, dim, arr, kernel, zero_tol) -> GapReport:
     """Gap of H from a claimed orthonormal kernel basis K, cross-checked both ways.
 
     lambda_max(K^H H K) <= zero_tol * scale shows, by interlacing, that H has
@@ -245,10 +236,7 @@ def _kernel_report(apply, target, dim, arr, kernel, zero_tol, method) -> GapRepo
             )
 
     def dense_report():
-        dense = arr if arr is not None else _densify(target, dim)
-        if dense is None:
-            raise ValueError("dense method requested for an operator that cannot be densified")
-        vals = _eigvalsh(dense)
+        vals = _eigvalsh(arr if arr is not None else _densify(target, dim))
         report = _dense_report(vals, zero_tol)
         check_kernel(zero_tol * max(1.0, float(vals[-1])))
         if report.kernel_dim != k:
@@ -258,10 +246,7 @@ def _kernel_report(apply, target, dim, arr, kernel, zero_tol, method) -> GapRepo
             )
         return report
 
-    if method is None:
-        small = dim <= KERNEL_DENSE_CUTOFF and not isinstance(target, LinearOperator)
-        method = "dense" if small else "deflated"
-    if method == "dense":
+    if dim <= KERNEL_DENSE_CUTOFF and not isinstance(target, LinearOperator):
         return dense_report()
 
     if k == dim:
@@ -319,9 +304,7 @@ def _kernel_report(apply, target, dim, arr, kernel, zero_tol, method) -> GapRepo
     )
 
 
-def spectral_gap(
-    op, zero_tol: float = 1e-10, method: str | None = None, kernel=None
-) -> GapReport:
+def spectral_gap(op, zero_tol: float = 1e-10, kernel=None) -> GapReport:
     """Ground energy, kernel dimension, and spectral gap of a PSD operator.
 
     The gap is the smallest eigenvalue exceeding zero_tol * max(1,
@@ -333,19 +316,14 @@ def spectral_gap(
     (raising on a mismatch) and the gap is then dense up to dimension 512,
     and above it the lowest eigenvalue of H + max(1, lambda_max) Pi_K by one
     Lanczos solve ("deflated"), which goes dense after DEFLATED_RESTARTS
-    restarts when the operator can be densified; ``method`` may force
-    "dense" or "deflated".
+    restarts when the operator can be densified.
 
     Without ``kernel`` the gap is dense up to DENSE_FALLBACK_CUTOFF, and
     refused above it and for matrix-free operators.
     """
     apply, target, dim, arr = _normalize(op)
     if kernel is not None:
-        if method not in (None, "dense", "deflated"):
-            raise ValueError(f"unknown method {method!r} for a gap with a kernel basis")
-        return _kernel_report(apply, target, dim, arr, kernel, zero_tol, method)
-    if method not in (None, "dense"):
-        raise ValueError(f"unknown method {method!r} for a gap without a kernel basis")
+        return _kernel_report(apply, target, dim, arr, kernel, zero_tol)
     if arr is None:
         arr = _densify(target, dim)
     if arr is None or dim > DENSE_FALLBACK_CUTOFF:
@@ -358,7 +336,6 @@ def spectral_gap(
 
 def psd_margin(
     op,
-    method: str | None = None,
     tol: float = 0.0,
     scale: float | None = None,
     v0: np.ndarray | None = None,
@@ -374,19 +351,8 @@ def psd_margin(
     when omitted).
     """
     apply, target, dim, arr = _normalize(op)
-    if method not in (None, "dense", "iterative"):
-        raise ValueError(f"unknown method {method!r}")
-    if method is None:
-        if arr is not None or (dim <= PSD_DENSE_CUTOFF and not isinstance(target, LinearOperator)):
-            method = "dense"
-        else:
-            method = "iterative"
-    if method == "dense":
-        if arr is None:
-            arr = _densify(target, dim)
-        if arr is None:
-            raise ValueError("dense method requested for an operator that cannot be densified")
-        return float(np.linalg.eigvalsh(arr)[0])
+    if arr is not None or (dim <= PSD_DENSE_CUTOFF and not isinstance(target, LinearOperator)):
+        return float(np.linalg.eigvalsh(arr if arr is not None else target.toarray())[0])
 
     if v0 is None:
         v0 = start_vector(dim, target.dtype)

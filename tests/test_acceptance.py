@@ -195,7 +195,7 @@ def test_criterion_08_strip_coarse_graining(random_cells_2d):
             total = blocks[0]
             for block in blocks[1:]:
                 total = total + block
-            diff = total.matrix - dense.matrix
+            diff = total - dense
             assert diff.nnz == 0 or np.abs(diff.data).max() <= 1e-13, spec.name
 
             coarse_ham = chain_hamiltonian(eff.chain_model(), m1)

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ffgap
 from ffgap import _blas, operators, spectra
 from ffgap.cli import (
     EXIT_ERROR,
@@ -281,6 +286,29 @@ class TestReproducibility:
         assert out == ""
         doc = json.loads(path.read_text())
         assert doc["result"]["n"] == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("certify", "gm", "--model", "singlet", "--n", "12", "--m", "26"),  # deflated at 2^12
+            ("verify", "--seed", "0", "--trials", "1"),  # rewrite-margin Lanczos
+        ],
+        ids=["deflated_gap", "rewrite_margin"],
+    )
+    def test_byte_identical_across_processes(self, argv):
+        src = str(Path(ffgap.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-m", "ffgap.cli", "--no-timestamp", *argv],
+                env=env,
+                capture_output=True,
+                timeout=600,
+            )
+            assert proc.returncode in (EXIT_OK, EXIT_INCONCLUSIVE), proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestThreads:

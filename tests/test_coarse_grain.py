@@ -19,8 +19,8 @@ from ffgap.lattice import InteractionShape, box_region, rhomboid_sites
 from ffgap.operators import (
     InteractionCell,
     LocalProjector,
+    LocalSum,
     chain_hamiltonian,
-    embed,
     region_hamiltonian,
 )
 from ffgap.spectra import psd_margin, spectral_gap
@@ -66,7 +66,7 @@ class TestGroup1d:
         for b in blocks[1:]:
             total = total + b
         want = region_hamiltonian(cell, box_region(4, 2))
-        diff = total.matrix - want.matrix
+        diff = total - want
         assert diff.nnz == 0 or np.abs(diff.data).max() < 1e-13
 
     def test_two_strips_single_block(self, commuting_cell_spec):
@@ -81,13 +81,16 @@ class TestGroup1d:
         region = box_region(4, 1)
         blocks = group_1d(cell, 4, 1, 1)
         _, proj = cell.terms[0]
-        middle = 0.5 * (
-            embed(proj, ((2, 1),), region, 2) + embed(proj, ((3, 1),), region, 2)
-        )
-        assert np.allclose(blocks[1].toarray(), middle.toarray(), atol=1e-14)
+
+        def on(weights):
+            terms = [((region.index(site),), proj.matrix, w) for site, w in weights.items()]
+            return LocalSum((2,) * len(region), terms).assemble().toarray()
+
+        middle = on({(2, 1): 0.5, (3, 1): 0.5})
+        assert np.allclose(blocks[1].toarray(), middle, atol=1e-14)
         # boundary strips contribute whole to the single adjacent block
-        first = embed(proj, ((1, 1),), region, 2) + 0.5 * embed(proj, ((2, 1),), region, 2)
-        assert np.allclose(blocks[0].toarray(), first.toarray(), atol=1e-14)
+        first = on({(1, 1): 1.0, (2, 1): 0.5})
+        assert np.allclose(blocks[0].toarray(), first, atol=1e-14)
 
     def test_width_must_divide(self, commuting_cell_spec):
         with pytest.raises(ValueError, match="does not divide"):
@@ -230,7 +233,7 @@ class TestGroup2d:
         total = None
         for b in blocks.values():
             total = b if total is None else total + b
-        diff = total.matrix - want.matrix
+        diff = total - want
         assert diff.nnz == 0 or np.abs(diff.data).max() < 1e-13
 
     def test_single_site_equidistribution_weights(self, commuting_cell_spec):
@@ -243,7 +246,7 @@ class TestGroup2d:
         per_site = []
         for site in centers:
             idx = (2**n - 1) - 2 ** (n - 1 - region.index(site))
-            weights = [b.matrix[idx, idx].real for b in blocks.values()]
+            weights = [b[idx, idx].real for b in blocks.values()]
             total = sum(weights)
             assert total == pytest.approx(1.0, abs=1e-14)
             per_site.append(sorted(w for w in weights if w > 0))
@@ -265,7 +268,7 @@ class TestGroup2d:
                 - 2 ** (n - 1 - region.index(site))
                 - 2 ** (n - 1 - region.index(partner))
             )
-            weights = [b.matrix[idx, idx].real for b in blocks.values()]
+            weights = [b[idx, idx].real for b in blocks.values()]
             assert sum(weights) == pytest.approx(1.0, abs=1e-14)
             seen.update(np.round(w, 12) for w in weights if w > 1e-14)
         assert seen == {np.round(1.0, 12), np.round(0.5, 12)}

@@ -27,6 +27,7 @@ from ffgap.coarse_grain import (
 )
 from ffgap.criteria import (
     SuiteConfig,
+    apply_q_plus_f,
     certify_2d,
     certify_periodic,
     certify_quasi1d,
@@ -39,12 +40,13 @@ from ffgap.criteria import (
     rewrite_difference,
     rewrite_margin,
     standard_instance_plan,
+    term_images,
     verify_chain_instance,
     verify_inequality_suite,
     window_gap_margins,
 )
 from ffgap.models import random_cell_2d
-from ffgap.operators import EnlargedChainApplier, LocalProjector
+from ffgap.operators import LocalProjector, enlarged_ring
 from ffgap.spectra import GapProfile, certified_margin, gap_profile, psd_margin
 
 
@@ -84,22 +86,26 @@ def kron_rewrite_margin(model, m, n, coeffs) -> tuple[float, float]:
 def regrouped_difference_residual(model, m, n, seed=0) -> float:
     """Worst relative distance of ``rewrite_difference`` from D v taken term by term.
 
-    The reference squares each window with two ``apply_window`` calls, so it
-    shares no grouping with the regrouped sum.
+    The reference squares each window by applying it twice, term by term, so
+    it shares no grouping with the regrouped sum.
     """
-    applier = EnlargedChainApplier(model, m)
+    ring = enlarged_ring(model, m)
     c = coeffs_1d(n, SQRT6).c
     arr = np.asarray(c)
+
+    def apply_window(l, v):
+        return sum(w * ring.apply_term((l + a - 1) % (m + 1), v) for a, w in enumerate(c))
+
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(3):
-        v = rng.standard_normal(applier.dim) + 1j * rng.standard_normal(applier.dim)
-        images = applier.term_images(v)
+        v = rng.standard_normal(ring.dim) + 1j * rng.standard_normal(ring.dim)
+        images = term_images(ring, v)
         want = (arr @ arr) * np.sum(images, axis=0)
-        want += (arr[:-1] @ arr[1:]) * applier.apply_q_plus_f(images)
+        want += (arr[:-1] @ arr[1:]) * apply_q_plus_f(ring, images)
         for l in range(1, m + 2):
-            want -= applier.apply_window(l, c, applier.apply_window(l, c, v))
-        got = rewrite_difference(applier, c, v)
+            want -= apply_window(l, apply_window(l, v))
+        got = rewrite_difference(ring, c, v)
         worst = max(worst, float(np.linalg.norm(got - want) / np.linalg.norm(want)))
     return worst
 
@@ -387,7 +393,7 @@ class TestProp2dMargin:
         seen = []
 
         def record(op, scale):
-            seen.append((op.matrix, scale))
+            seen.append((op, scale))
             return 0.0
 
         monkeypatch.setattr(criteria, "certified_margin", record)
@@ -422,12 +428,12 @@ class TestOperatorChecks:
 
     def test_interchange_catches_broken_window(self, monkeypatch, random_chain_d2):
         coeffs = coeffs_1d(4, SQRT6)
-        apply_window = EnlargedChainApplier.apply_window
+        window_from_images = criteria.window_from_images
 
-        def drop_last_term(self, l, c, v):
-            return apply_window(self, l, c[:-1], v)
+        def drop_last_term(l, c, images):
+            return window_from_images(l, c[:-1], images)
 
-        monkeypatch.setattr(EnlargedChainApplier, "apply_window", drop_last_term)
+        monkeypatch.setattr(criteria, "window_from_images", drop_last_term)
         assert interchange_residual(random_chain_d2.payload, 8, 4, coeffs, seed=7) > 1e-12
 
     def test_rewrite_margin_nonnegative(self, random_chain_d2):
@@ -459,13 +465,13 @@ class TestOperatorChecks:
         assert regrouped_difference_residual(model, m, n) <= 1e-12
 
     def test_rewrite_difference_catches_dropped_window(self, monkeypatch, random_chain_d2):
-        window_from_images = EnlargedChainApplier.window_from_images
+        window_from_images = criteria.window_from_images
 
-        def drop_window_3(self, l, c, images):
-            out = window_from_images(self, l, c, images)
+        def drop_window_3(l, c, images):
+            out = window_from_images(l, c, images)
             return 0.0 * out if l == 3 else out
 
-        monkeypatch.setattr(EnlargedChainApplier, "window_from_images", drop_window_3)
+        monkeypatch.setattr(criteria, "window_from_images", drop_window_3)
         assert regrouped_difference_residual(random_chain_d2.payload, 8, 4) > 1e-12
 
     def test_rewrite_margin_window_bounds(self, random_chain_d2):

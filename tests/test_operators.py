@@ -1,25 +1,22 @@
-"""Operator assembly: embedding, chain/region Hamiltonians, window algebra."""
+"""Operator assembly: local sums, chain/region Hamiltonians, the enlarged ring."""
 
 import numpy as np
 import pytest
 
 from ffgap.coefficients import SQRT6, coeffs_1d
-from ffgap.lattice import InteractionShape, SiteRegion, box_region, chain_region
-from ffgap.models import aklt, random_ff
+from ffgap.criteria import apply_q_plus_f, term_images, window_from_images, window_gap_margins
+from ffgap.lattice import InteractionShape, box_region
 from ffgap.operators import (
     ChainModel,
-    EnlargedChainApplier,
     InteractionCell,
     LocalProjector,
-    SparseHermitianOperator,
+    LocalSum,
     chain_hamiltonian,
     cyclic_distance,
-    embed,
-    enlarged_terms,
-    projector_complement_kernel,
+    enlarged_ring,
+    positive_eigenspace,
     q_and_f,
     region_hamiltonian,
-    subchain_support_operator,
 )
 
 RNG = np.random.default_rng(8451)
@@ -61,71 +58,83 @@ class TestLocalProjector:
 
 class TestEmbed:
     def test_matches_kron_on_chain(self):
-        region = chain_region(3)
         p = random_projector(4, 2)
-        got = embed(p, ((1, 0), (2, 0)), region, 2).toarray()
+        got = LocalSum((2, 2, 2), [((0, 1), p, 1.0)]).assemble().toarray()
         want = np.kron(p, np.eye(2))
         assert np.allclose(got, want, atol=1e-14)
 
     def test_site_order_transposes_factors(self):
-        region = chain_region(2)
         p = random_projector(4, 1)
-        forward = embed(p, ((1, 0), (2, 0)), region, 2).toarray()
+        forward = LocalSum((2, 2), [((0, 1), p, 1.0)]).assemble().toarray()
         swap = np.reshape(np.transpose(np.reshape(p, (2, 2, 2, 2)), (1, 0, 3, 2)), (4, 4))
-        backward = embed(swap, ((2, 0), (1, 0)), region, 2).toarray()
+        backward = LocalSum((2, 2), [((1, 0), swap, 1.0)]).assemble().toarray()
         assert np.allclose(forward, backward, atol=1e-14)
 
     def test_trace_identity(self):
-        # tr(embed(A)) = tr(A) * dim(rest)
+        # tr(embedded A) = tr(A) * dim(rest)
         region = box_region(2, 2)
         p = random_projector(2, 1)
-        op = embed(p, ((1, 2),), region, 2)
+        op = LocalSum((2,) * 4, [((region.index((1, 2)),), p, 1.0)]).assemble()
         assert np.trace(op.toarray()) == pytest.approx(np.trace(p) * 2 ** 3)
 
     def test_mixed_local_dims(self):
-        region = chain_region(2)
         p = random_projector(6, 2)
-        op = embed(p, ((1, 0), (2, 0)), region, [2, 3])
-        assert op.dim == 6
-        assert np.allclose(op.toarray(), p, atol=1e-14)
+        local_sum = LocalSum((2, 3), [((0, 1), p, 1.0)])
+        assert local_sum.dim == 6
+        assert np.allclose(local_sum.assemble().toarray(), p, atol=1e-14)
 
     def test_outside_site_rejected(self):
-        region = chain_region(2)
         with pytest.raises(ValueError):
-            embed(np.eye(2), ((5, 0),), region, 2)
+            LocalSum((2, 2), [((5,), np.eye(2), 1.0)])
 
     def test_wrong_shape_rejected(self):
-        region = chain_region(2)
         with pytest.raises(ValueError):
-            embed(np.eye(3), ((1, 0),), region, 2)
+            LocalSum((2, 2), [((0,), np.eye(3), 1.0)])
+
+    def test_non_hermitian_rejected(self):
+        mat = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            LocalSum((2,), [((0,), mat, 1.0)]).assemble()
+
+    def test_apply_needs_contiguous_factors(self):
+        p = random_projector(4, 1)
+        local_sum = LocalSum((2, 2, 2), [((0, 1), p, 0.5), ((2, 0), p, 1.0)])
+        v = random_state(8, 4)
+        want = LocalSum((2, 2, 2), local_sum.terms[:1]).assemble() @ v  # weight 0.5 included
+        assert np.allclose(local_sum.apply_term(0, v), want, atol=1e-14)
+        with pytest.raises(ValueError, match="non-contiguous"):
+            local_sum.apply_term(1, v)
 
 
 class TestProjectorComplementKernel:
     def test_projects_onto_support(self):
         p = random_projector(8, 3)
         h = 2.0 * p  # PSD with kernel = complement of range(p)
-        out = projector_complement_kernel(h)
-        assert np.allclose(out, p, atol=1e-10)
+        _, support = positive_eigenspace(h)
+        assert np.allclose(support @ support.conj().T, p, atol=1e-10)
 
     def test_zero_operator(self):
-        out = projector_complement_kernel(np.zeros((4, 4)))
-        assert np.allclose(out, 0.0)
+        vals, support = positive_eigenspace(np.zeros((4, 4)))
+        assert vals.size == 0
+        assert np.allclose(support @ support.conj().T, 0.0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            projector_complement_kernel(np.diag([1.0, -0.5]))
+            positive_eigenspace(np.diag([1.0, -0.5]))
+
+
+def on_sites(local: np.ndarray, first: int, k: int, d: int, m: int) -> np.ndarray:
+    """``local`` on sites first..first+k-1 (1-based) of an m-site chain, by np.kron."""
+    return np.kron(np.kron(np.eye(d ** (first - 1)), local), np.eye(d ** (m - first - k + 1)))
 
 
 class TestChainHamiltonian:
     def test_open_chain_term_count(self, random_chain_d3_boundary):
         model = random_chain_d3_boundary.payload
         H = chain_hamiltonian(model, 4).toarray()
-        region = chain_region(4)
-        want = sum(
-            embed(model.P, ((i, 0), (i + 1, 0)), region, 3).toarray() for i in (1, 2, 3)
-        )
-        want = want + embed(model.P_L, ((1, 0),), region, 3).toarray()
-        want = want + embed(model.P_R, ((4, 0),), region, 3).toarray()
+        want = sum(on_sites(model.P.matrix, i, 2, 3, 4) for i in (1, 2, 3))
+        want = want + on_sites(model.P_L.matrix, 1, 1, 3, 4)
+        want = want + on_sites(model.P_R.matrix, 4, 1, 3, 4)
         assert np.allclose(H, want, atol=1e-13)
 
     def test_periodic_adds_wraparound(self):
@@ -133,9 +142,10 @@ class TestChainHamiltonian:
         periodic = ChainModel(2, model.P, model.P_L, model.P_R, bc="periodic")
         H_open = chain_hamiltonian(model, 4).toarray()
         H_per = chain_hamiltonian(periodic, 4).toarray()
-        region = chain_region(4)
-        wrap = embed(model.P, ((4, 0), (1, 0)), region, 2).toarray()
-        assert np.allclose(H_per, H_open + wrap, atol=1e-13)
+        # P on the factor order (site 4, site 1): out (a4, a1), in (b4, b1)
+        eye = np.eye(2)
+        wrap = np.einsum("wxyz,bB,cC->xbcwzBCy", model.P.matrix.reshape(2, 2, 2, 2), eye, eye)
+        assert np.allclose(H_per, H_open + wrap.reshape(16, 16), atol=1e-13)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -164,23 +174,31 @@ class TestRegionHamiltonian:
         # only one horizontal pair fits in a 2x1 box
         assert np.allclose(H2, proj, atol=1e-14)
 
+    def test_box_above_the_cap_refused(self, commuting_cell_spec):
+        with pytest.raises(ValueError, match="diagonalization cap 65536"):
+            region_hamiltonian(commuting_cell_spec.payload, box_region(17, 1))
+
+
+def term_operator(ring: LocalSum, t: int):
+    """Ring term t assembled on its own."""
+    return LocalSum(ring.dims, (ring.terms[t],)).assemble()
+
 
 class TestEnlargedRing:
     def test_terms_layout(self, random_chain_d3_boundary):
         model = random_chain_d3_boundary.payload
         m = 4
-        terms = enlarged_terms(model, m)
-        assert len(terms) == m + 1
+        ring = enlarged_ring(model, m)
+        assert [t[0] for t in ring.terms] == [(0, 1), (1, 2), (2, 3), (3,), (0,)]
         # the m+1 terms act on the m-site space and sum to the open chain
         # (up to rounding: the two sums add the edge terms in another order)
-        total = sum(t.toarray() for t in terms)
+        total = ring.assemble().toarray()
         assert np.allclose(total, chain_hamiltonian(model, m).toarray(), atol=1e-13)
 
     def test_zero_boundary_gives_zero_terms(self, random_chain_d2):
-        model = random_chain_d2.payload
-        terms = enlarged_terms(model, 4)
-        assert terms[3].matrix.nnz == 0  # P_R slot
-        assert terms[4].matrix.nnz == 0  # P_L slot
+        ring = enlarged_ring(random_chain_d2.payload, 4)
+        assert term_operator(ring, 3).nnz == 0  # P_R slot
+        assert term_operator(ring, 4).nnz == 0  # P_L slot
 
     def test_hsquared_identity(self, random_chain_d3_boundary):
         model = random_chain_d3_boundary.payload
@@ -208,95 +226,79 @@ class TestSubchainOperators:
     def test_window_wraps_cyclically(self, random_chain_d2, l):
         model = random_chain_d2.payload
         m, n = 8, 4
-        terms = enlarged_terms(model, m)
-        want = sum(terms[(l + k - 1) % (m + 1)].toarray() for k in range(n - 1))
+        ring = enlarged_ring(model, m)
+        want = sum(term_operator(ring, (l + k - 1) % (m + 1)).toarray() for k in range(n - 1))
         v = random_state(2 ** m, l)
-        got = EnlargedChainApplier(model, m).apply_window(l, (1.0,) * (n - 1), v)
+        got = window_from_images(l, (1.0,) * (n - 1), term_images(ring, v))
         assert np.allclose(got, want @ v, atol=1e-12)
 
     def test_deformed_window_weights(self, random_chain_d2):
         model = random_chain_d2.payload
         m, n = 8, 4
         coeffs = coeffs_1d(n, SQRT6)
-        terms = enlarged_terms(model, m)
+        ring = enlarged_ring(model, m)
         want = sum(
-            coeffs.c[k] * terms[(2 + k - 1) % (m + 1)].toarray() for k in range(n - 1)
+            coeffs.c[k] * term_operator(ring, (2 + k - 1) % (m + 1)).toarray()
+            for k in range(n - 1)
         )
         v = random_state(2 ** m, 2)
-        got = EnlargedChainApplier(model, m).apply_window(2, coeffs.c, v)
+        got = window_from_images(2, coeffs.c, term_images(ring, v))
         assert np.allclose(got, want @ v, atol=1e-12)
 
     def test_window_too_long_rejected(self, random_chain_d2):
         with pytest.raises(ValueError):
-            subchain_support_operator(random_chain_d2.payload, 6, 4, 1)
+            window_gap_margins(random_chain_d2.payload, 6, 4, coeffs_1d(4, SQRT6), 1.0, 1.0)
 
     def test_support_operator_matches_full(self, random_chain_d3_boundary):
         model = random_chain_d3_boundary.payload
         m, n = 6, 3
         coeffs = coeffs_1d(n, SQRT6)
-        terms = enlarged_terms(model, m)
+        ring = enlarged_ring(model, m)
+        windows = window_gap_margins(model, m, n, coeffs, 0.3, 0.2)
         for l in (1, 5, 6, 7, 3):
             full = sum(
-                coeffs.c[k] * terms[(l + k - 1) % (m + 1)].toarray() for k in range(n - 1)
+                coeffs.c[k] * term_operator(ring, (l + k - 1) % (m + 1)).toarray()
+                for k in range(n - 1)
             )
-            small, sites = subchain_support_operator(model, m, n, l, coeffs)
-            # spectra agree up to identity tensor factors
-            vals_full = np.unique(np.round(np.linalg.eigvalsh(full), 9))
-            vals_small = np.unique(np.round(np.linalg.eigvalsh(small), 9))
-            assert np.allclose(vals_full, vals_small, atol=1e-8)
-            assert all(1 <= s <= m for s in sites)
+            vals = np.linalg.eigvalsh(full)
+            # the margins agree because the spectra agree up to identity tensor factors
+            window = windows[l - 1]
+            want = float(np.min(vals * (vals - window["kappa"])))
+            assert window["margin"] == pytest.approx(want, abs=1e-8)
+            assert window["scale"] == pytest.approx(max(1.0, vals[-1] ** 2), abs=1e-8)
+            assert all(1 <= s <= m for s in window["support"])
 
 
 class TestEnlargedChainApplier:
     def test_matches_assembled_operators(self, random_chain_d3_boundary):
         model = random_chain_d3_boundary.payload
         m = 5
-        applier = EnlargedChainApplier(model, m)
-        assert applier.dim == 3 ** m
+        ring = enlarged_ring(model, m)
+        assert ring.dim == 3 ** m
         v = random_state(3 ** m, 11)
-        terms = enlarged_terms(model, m)
-        for j, term in enumerate(terms, start=1):
-            assert np.allclose(applier.apply_term(j, v), term.matrix @ v, atol=1e-12)
+        for t in range(m + 1):
+            assert np.allclose(ring.apply_term(t, v), term_operator(ring, t) @ v, atol=1e-12)
         H = chain_hamiltonian(model, m)
-        assert np.allclose(applier.apply_hamiltonian(v), H.matrix @ v, atol=1e-12)
+        assert np.allclose(ring.apply(v), H @ v, atol=1e-12)
         Q, F = q_and_f(model, m)
-        images = applier.term_images(v)
-        assert np.allclose(applier.apply_q_plus_f(images), (Q + F).matrix @ v, atol=1e-11)
+        images = term_images(ring, v)
+        assert np.allclose(apply_q_plus_f(ring, images), (Q + F) @ v, atol=1e-11)
 
     def test_window_application(self, random_chain_d2):
         model = random_chain_d2.payload
         m, n = 8, 4
         coeffs = coeffs_1d(n, SQRT6)
-        applier = EnlargedChainApplier(model, m)
+        ring = enlarged_ring(model, m)
         dim = 2 ** m
-        assert applier.dim == dim
+        assert ring.dim == dim
         v = np.random.default_rng(7).standard_normal(dim).astype(np.complex128)
-        terms = enlarged_terms(model, m)
-        images = applier.term_images(v)
+        images = term_images(ring, v)
         for l in (1, 5, 9):
-            window = sum(coeffs.c[k] * terms[(l + k - 1) % (m + 1)].matrix for k in range(n - 1))
+            window = sum(
+                coeffs.c[k] * term_operator(ring, (l + k - 1) % (m + 1)) for k in range(n - 1)
+            )
             want = window @ v
-            assert np.allclose(applier.apply_window(l, coeffs.c, v), want, atol=1e-11)
-            assert np.allclose(applier.window_from_images(l, coeffs.c, images), want, atol=1e-11)
-
-
-class TestSparseHermitianOperator:
-    def test_arithmetic(self):
-        a = SparseHermitianOperator.zero(2)
-        p = LocalProjector(1, 2, np.diag([1.0, 0.0]))
-        op = embed(p, ((1, 0),), chain_region(1), 2)
-        total = a + op + op
-        assert np.allclose(total.toarray(), 2 * np.diag([1.0, 0.0]))
-        scaled = 0.5 * total
-        assert np.allclose(scaled.toarray(), np.diag([1.0, 0.0]))
-
-    def test_hermiticity_assertion(self):
-        mat = np.array([[0.0, 1.0], [0.0, 0.0]])
-        import scipy.sparse as sp
-
-        op = SparseHermitianOperator(sp.csr_matrix(mat), 2)
-        with pytest.raises(ValueError):
-            op.assert_hermitian()
+            assert np.allclose(window_from_images(l, coeffs.c, images), want, atol=1e-11)
 
 
 class TestAkltAlgebra:

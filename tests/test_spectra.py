@@ -59,10 +59,6 @@ class TestSpectralGap:
         assert report.kernel_dim == 2
         assert report.gap == pytest.approx(1e6)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_gap(np.eye(2), method="magic")
-
     def test_iterative_path_is_reproducible(self, aklt_spec):
         first = chain_gap(aklt_spec.payload, 7)  # 3^7: one deflated Lanczos solve
         assert first.method == "deflated"
@@ -75,8 +71,6 @@ class TestSpectralGap:
             spectral_gap(op)
         with pytest.raises(ValueError, match="region_gap"):
             spectral_gap(sp.identity(8193, format="csr"))
-        with pytest.raises(ValueError, match="unknown method"):
-            spectral_gap(diag_operator(values), method="iterative")
 
     def test_linear_operator_input(self):
         values = np.array([0.0, 0.3] + [1.0] * 200)
@@ -237,7 +231,8 @@ CHAIN_FIXTURES = ("aklt_spec", "singlet_spec", "random_chain_d2", "random_chain_
 
 class TestChainKernels:
     @pytest.mark.parametrize("fixture", CHAIN_FIXTURES)
-    def test_dimensions_and_gaps_match_dense_ed(self, fixture, request):
+    def test_dimensions_and_gaps_match_dense_ed(self, fixture, request, monkeypatch):
+        monkeypatch.setattr(spectra, "KERNEL_DENSE_CUTOFF", 0)  # deflated at every size
         model = request.getfixturevalue(fixture).payload
         n = int(math.log(DENSE_CUTOFF, model.d) + 1e-9)
         for name, chain in families(model).items():
@@ -248,7 +243,7 @@ class TestChainKernels:
                 kernel_dim, gap, scale = ed_kernel_and_gap(spectrum(chain, m))
                 assert K.shape[1] == kernel_dim, (name, m)
                 if chain.d**m >= 16:
-                    report = spectral_gap(chain_hamiltonian(chain, m), method="deflated", kernel=K)
+                    report = spectral_gap(chain_hamiltonian(chain, m), kernel=K)
                     assert report.method == "deflated"
                     assert report.kernel_dim == kernel_dim
                     assert report.gap == pytest.approx(gap, abs=1e-10 * scale), (name, m)
@@ -425,21 +420,25 @@ class TestRegionKernels:
 
 class TestKernelCrossCheck:
     @pytest.mark.parametrize("method", ["dense", "deflated"])
-    def test_dropped_kernel_vector_raises(self, singlet_spec, method):
+    def test_dropped_kernel_vector_raises(self, singlet_spec, method, monkeypatch):
+        if method == "deflated":
+            monkeypatch.setattr(spectra, "KERNEL_DENSE_CUTOFF", 0)
         ham = chain_hamiltonian(singlet_spec.payload, 6)
         K = chain_kernels(singlet_spec.payload, 6)[-1]
         with pytest.raises(RuntimeError, match="kernel"):
-            spectral_gap(ham, method=method, kernel=K[:, 1:])
+            spectral_gap(ham, kernel=K[:, 1:])
 
     @pytest.mark.parametrize("method", ["dense", "deflated"])
-    def test_added_non_kernel_vector_raises(self, singlet_spec, method):
+    def test_added_non_kernel_vector_raises(self, singlet_spec, method, monkeypatch):
+        if method == "deflated":
+            monkeypatch.setattr(spectra, "KERNEL_DENSE_CUTOFF", 0)
         ham = chain_hamiltonian(singlet_spec.payload, 6)
         K = chain_kernels(singlet_spec.payload, 6)[-1]
         w = np.random.default_rng(3).standard_normal(K.shape[0]).astype(complex)
         w -= K @ (K.conj().T @ w)
         w /= np.linalg.norm(w)
         with pytest.raises(RuntimeError, match="not annihilated"):
-            spectral_gap(ham, method=method, kernel=np.column_stack([K, w]))
+            spectral_gap(ham, kernel=np.column_stack([K, w]))
 
     def test_tiny_true_gap_is_not_counted_as_kernel(self):
         # an eigenvalue below the kernel threshold outside the basis must raise,
@@ -454,8 +453,6 @@ class TestKernelCrossCheck:
     def test_bad_kernel_arguments_rejected(self):
         with pytest.raises(ValueError):
             spectral_gap(np.eye(4), kernel=np.zeros((3, 1)))
-        with pytest.raises(ValueError):
-            spectral_gap(np.eye(4), method="iterative", kernel=np.zeros((4, 0)))
 
 
 @st.composite
