@@ -40,10 +40,9 @@ from .operators import (
     InteractionCell,
     LocalProjector,
     LocalSum,
-    positive_eigenspace,
     region_terms,
 )
-from .spectra import PSD_DENSE_CUTOFF
+from .spectra import PSD_DENSE_CUTOFF, positive_eigenspace
 
 
 class CellRejection(ValueError):
@@ -187,10 +186,6 @@ def effective_1d(
     """
     d = cell.d
     metaspin_dim = d ** (R * m2)
-    if metaspin_dim > PSD_DENSE_CUTOFF:
-        raise ValueError(
-            f"metaspin dimension overflow: {metaspin_dim} exceeds cap {PSD_DENSE_CUTOFF}"
-        )
     pair_dim = metaspin_dim ** 2
     if pair_dim > PSD_DENSE_CUTOFF:
         raise ValueError(
@@ -291,10 +286,6 @@ def effective_2d(
     classify_2d(cell, R)
     d = cell.d
     metaspin_dim = d ** (R * R)
-    if metaspin_dim > PSD_DENSE_CUTOFF:
-        raise ValueError(
-            f"metaspin dimension overflow: {metaspin_dim} exceeds cap {PSD_DENSE_CUTOFF}"
-        )
     window_dim = metaspin_dim ** 4
     if window_dim > PSD_DENSE_CUTOFF:
         raise ValueError(

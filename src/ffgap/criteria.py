@@ -13,9 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
-from ._blas import single_thread
 from .coarse_grain import (
     EffectiveModel1D,
     EffectiveModel2D,
@@ -48,7 +46,9 @@ from .spectra import (
     MARGIN_RTOL,
     PSD_DENSE_CUTOFF,
     GapProfile,
+    _eigvalsh,
     _largest_eigenvalue,
+    _least_eigenvalue,
     certified_margin,
     chain_gap,
     gap_profile,
@@ -455,23 +455,24 @@ def rewrite_difference(ring: LocalSum, c: tuple[float, ...], v: np.ndarray) -> n
     return out
 
 
-@single_thread()
 def rewrite_margin(
     model: ChainModel,
     m: int,
     n: int,
     coeffs: Deformation1D,
     eigsh_tol: float = 1e-12,
-    seed: int = 0,
 ) -> tuple[float, float]:
     """(margin, scale) of the deformed-window rewrite inequality.
 
     The inequality bounds sum_l B_{n,l}^2 by (sum c^2) H + (sum c c') (Q+F);
-    the margin is the least eigenvalue of the difference and the scale is
-    the largest eigenvalue of the dominating side. Both come from Lanczos
-    on matrix-free operators of the m-site chain, on one BLAS thread: each
-    matvec applies every term once for the term images and once more for
-    the rest (``rewrite_difference``), 2(m+1) term applications in all.
+    the margin is the least eigenvalue of the difference D and the scale is
+    the largest eigenvalue of the dominating side (at least 1). Both come
+    from spectra's Lanczos routines on matrix-free operators of the m-site
+    chain: the scale from ``_largest_eigenvalue``, the margin from the
+    shifted solve of ``_least_eigenvalue`` at tolerance ``eigsh_tol``, which
+    raises when its eigenpair residual is too large. Each matvec of D
+    applies every term once for the term images and once more for the rest
+    (``rewrite_difference``), 2(m+1) term applications in all.
     """
     if not 3 <= n <= m / 2:
         raise ValueError(f"need 3 <= n <= m/2, got n={n}, m={m}")
@@ -480,31 +481,14 @@ def rewrite_margin(
     dim = ring.dim
 
     def rhs_matvec(v):
-        images = term_images(ring, np.asarray(v, dtype=np.complex128).ravel())
+        images = term_images(ring, v)
         return sum_c2 * np.sum(images, axis=0) + sum_cc * apply_q_plus_f(ring, images)
 
-    rng = np.random.default_rng((seed, 0xA1))
-    v0 = rng.standard_normal(dim)
-    rhs_op = LinearOperator((dim, dim), matvec=rhs_matvec, dtype=np.complex128)
-    lam_rhs = float(
-        eigsh(rhs_op, k=1, which="LA", return_eigenvectors=False, tol=1e-6, v0=v0)[0]
-    )
-    scale = max(1.0, lam_rhs)
-    # smallest eigenvalue via the shifted operator c - D, whose target
-    # eigenvalue c - margin is large, so the relative Lanczos tolerance is
-    # meaningful (converging directly to an eigenvalue near 0 is not)
-    shift = 1.05 * scale + 1.0
+    def difference(v):
+        return rewrite_difference(ring, coeffs.c, v)
 
-    def shifted_matvec(v):
-        v = np.asarray(v, dtype=np.complex128).ravel()
-        return shift * v - rewrite_difference(ring, coeffs.c, v)
-
-    shifted_op = LinearOperator((dim, dim), matvec=shifted_matvec, dtype=np.complex128)
-    lam_top = float(
-        eigsh(shifted_op, k=1, which="LA", return_eigenvectors=False, tol=eigsh_tol, v0=v0)[0]
-    )
-    margin = shift - lam_top
-    return margin, scale
+    scale = max(1.0, _largest_eigenvalue(rhs_matvec, dim, np.complex128))
+    return _least_eigenvalue(difference, dim, np.complex128, scale, tol=eigsh_tol), scale
 
 
 def window_gap_margins(
@@ -540,7 +524,7 @@ def window_gap_margins(
             (model.d,) * len(support),
             [(tuple(map(support.index, positions)), block, w) for positions, block, w in terms],
         )
-        vals = np.linalg.eigvalsh(window.assemble().toarray())
+        vals = _eigvalsh(window.assemble().toarray())
         is_bulk = l <= m - n + 1
         kappa = c0 * (gamma_bulk if is_bulk else gamma_edge)
         margin = float(np.min(vals * (vals - kappa)))
@@ -583,9 +567,7 @@ def verify_chain_instance(
     record["interchange_residual"] = inter
     record["interchange_pass"] = inter <= config.identity_rtol
 
-    margin, scale = rewrite_margin(
-        model, config.margin_m, n, coeffs, eigsh_tol=config.eigsh_tol, seed=seed
-    )
+    margin, scale = rewrite_margin(model, config.margin_m, n, coeffs, eigsh_tol=config.eigsh_tol)
     record["rewrite_margin"] = margin
     record["rewrite_scale"] = scale
     record["rewrite_pass"] = margin >= -config.margin_rtol * scale
@@ -645,7 +627,7 @@ def prop2d_margin(
         for center in centers
     )
     diff = (H @ H) + wt.beta * H - wt.alpha * sum(B @ B for B in patches)
-    lam_h = _largest_eigenvalue(H, H.shape[0])
+    lam_h = _largest_eigenvalue(lambda v: H @ v, H.shape[0], H.dtype)
     scale = max(1.0, lam_h ** 2 + wt.beta * lam_h)
     margin = certified_margin(diff, scale)
     return {

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import spectra
 from .lattice import InteractionShape, box_region
-from .operators import ChainModel, InteractionCell, LocalProjector
+from .operators import ChainModel, InteractionCell, LocalProjector, region_hamiltonian
 
 FF_ZERO_TOL = 1e-10
 MAX_REGENERATIONS = 16
@@ -48,8 +48,8 @@ class ModelSpec:
 
 def _box_is_ff(cell: InteractionCell, region) -> bool:
     K = spectra.region_kernels(cell, region)
-    if K is None:  # past the kernel SVD budget: diagonalized
-        return spectra.region_gap(cell, region).kernel_dim > 0
+    if K is None:  # past the kernel SVD budget: diagonalized (boxes are <= DENSE_CUTOFF)
+        return spectra.spectral_gap(region_hamiltonian(cell, region)).kernel_dim > 0
     return K.shape[1] > 0
 
 

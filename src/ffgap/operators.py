@@ -227,20 +227,6 @@ class LocalSum:
         return sum(self.apply_term(t, v) for t in range(len(self.terms)))
 
 
-def positive_eigenspace(A, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a dense Hermitian PSD matrix above tol * lambda_max, and their eigenvectors.
-
-    One dense ``eigh``. Eigenvalues below -tol * lambda_max are rejected as
-    not PSD (below -tol when lambda_max <= 0, where nothing is positive).
-    """
-    vals, vecs = np.linalg.eigh(np.asarray(A))
-    scale = float(vals[-1]) if vals.size and vals[-1] > 0.0 else 1.0
-    if vals.size and vals[0] < -tol * scale:
-        raise ValueError(f"operator has negative eigenvalue {vals[0]} (not PSD)")
-    keep = vals > tol * scale
-    return vals[keep], vecs[:, keep]
-
-
 # ---------------------------------------------------------------------------
 # chain and region Hamiltonians
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ against it and deflated by it: dense below a size cutoff, one Lanczos
 (ARPACK) solve above it, with an explicit residual check so a silently
 unconverged eigenvalue cannot masquerade as a gap. Without a basis, a gap is
 dense or refused. Every ARPACK start vector is seeded, so reruns are
-identical.
+identical. No other module of the package diagonalizes or factors a matrix.
 """
 
 from __future__ import annotations
@@ -147,20 +147,22 @@ def _eigsh(target, **kw):
         ) from err
 
 
-def _largest_eigenvalue(target, dim) -> float:
+def _largest_eigenvalue(apply, dim, dtype) -> float:
+    """The largest eigenvalue of a Hermitian operator, by one Lanczos solve on one BLAS thread."""
+    op = LinearOperator((dim, dim), matvec=apply, dtype=dtype)
     with single_thread():
         vals = _eigsh(
-            target,
+            op,
             k=1,
             which="LA",
             return_eigenvectors=False,
             maxiter=_ARPACK_MAXITER,
-            v0=start_vector(dim, target.dtype),
+            v0=start_vector(dim, dtype),
         )
     return float(vals[0])
 
 
-def _least_eigenvalue(apply, dim, dtype, scale: float, tol: float = 0.0, v0=None) -> float:
+def _least_eigenvalue(apply, dim, dtype, scale: float, tol: float = 0.0) -> float:
     """The least eigenvalue theta of a Hermitian operator, by one Lanczos solve.
 
     Lanczos runs on shift*I - op with shift = 1.05 * scale + 1, whose target
@@ -172,10 +174,10 @@ def _least_eigenvalue(apply, dim, dtype, scale: float, tol: float = 0.0, v0=None
     """
     shift = 1.05 * scale + 1.0
     op = LinearOperator((dim, dim), matvec=lambda v: shift * v - apply(v), dtype=dtype)
-    if v0 is None:
-        v0 = start_vector(dim, dtype)
     with single_thread():
-        vals, vecs = _eigsh(op, k=1, which="LA", maxiter=_ARPACK_MAXITER, tol=tol, v0=v0)
+        vals, vecs = _eigsh(
+            op, k=1, which="LA", maxiter=_ARPACK_MAXITER, tol=tol, v0=start_vector(dim, dtype)
+        )
     theta = shift - float(vals[0])
     v = vecs[:, 0]
     residual = float(np.linalg.norm(apply(v) - theta * v)) / max(1.0, scale, abs(theta))
@@ -191,6 +193,20 @@ def _least_eigenvalue(apply, dim, dtype, scale: float, tol: float = 0.0, v0=None
 def _eigvalsh(arr: np.ndarray) -> np.ndarray:
     """Dense ascending eigenvalues, in real arithmetic when the entries are real."""
     return np.linalg.eigvalsh(arr.real if np.iscomplexobj(arr) and not arr.imag.any() else arr)
+
+
+def positive_eigenspace(A, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a dense Hermitian PSD matrix above tol * lambda_max, and their eigenvectors.
+
+    One dense ``eigh``. Eigenvalues below -tol * lambda_max are rejected as
+    not PSD (below -tol when lambda_max <= 0, where nothing is positive).
+    """
+    vals, vecs = np.linalg.eigh(np.asarray(A))
+    scale = float(vals[-1]) if vals.size and vals[-1] > 0.0 else 1.0
+    if vals.size and vals[0] < -tol * scale:
+        raise ValueError(f"operator has negative eigenvalue {vals[0]} (not PSD)")
+    keep = vals > tol * scale
+    return vals[keep], vecs[:, keep]
 
 
 def _dense_report(vals: np.ndarray, zero_tol: float) -> GapReport:
@@ -253,7 +269,7 @@ def _kernel_report(apply, target, dim, arr, kernel, zero_tol) -> GapReport:
         scale = max(1.0, float(ritz[-1]))
         check_kernel(zero_tol * scale)
         return GapReport(dim, float(ritz[0]), dim, math.inf, "deflated", zero_tol, 0.0)
-    lam_max = _largest_eigenvalue(target, dim)
+    lam_max = _largest_eigenvalue(apply, dim, target.dtype)
     scale = max(1.0, lam_max)
     threshold = zero_tol * scale
     check_kernel(threshold)
@@ -334,33 +350,27 @@ def spectral_gap(op, zero_tol: float = 1e-10, kernel=None) -> GapReport:
     return _dense_report(_eigvalsh(arr), zero_tol)
 
 
-def psd_margin(
-    op,
-    tol: float = 0.0,
-    scale: float | None = None,
-    v0: np.ndarray | None = None,
-) -> float:
+def psd_margin(op) -> float:
     """The least eigenvalue of a Hermitian operator.
 
     Certifies inequalities X >= Y by psd_margin(X - Y) >= -tolerance.
-    Dense up to dimension 4096 (always for ndarray input); matrix-free
-    operators use the shifted Lanczos solve of ``_least_eigenvalue``.
-    ``tol`` is the Lanczos eigenvalue tolerance (0 = machine), ``scale`` the
-    spectral scale of the shift and the residual check (|lambda| max by
-    Lanczos when omitted), and ``v0`` the start vector (``start_vector``
-    when omitted).
+    Dense up to dimension 4096 (always for ndarray input); above it, and for
+    matrix-free operators, |lambda|max by one Lanczos solve sets the scale of
+    the shifted Lanczos solve of ``_least_eigenvalue`` and its residual check.
     """
     apply, target, dim, arr = _normalize(op)
     if arr is not None or (dim <= PSD_DENSE_CUTOFF and not isinstance(target, LinearOperator)):
-        return float(np.linalg.eigvalsh(arr if arr is not None else target.toarray())[0])
-
-    if v0 is None:
-        v0 = start_vector(dim, target.dtype)
-    if scale is None:
-        with single_thread():
-            lm = _eigsh(target, k=1, which="LM", return_eigenvectors=False, maxiter=_ARPACK_MAXITER, v0=v0)
-        scale = abs(float(lm[0]))
-    return _least_eigenvalue(apply, dim, target.dtype, max(1.0, float(scale)), tol=tol, v0=v0)
+        return float(_eigvalsh(arr if arr is not None else target.toarray())[0])
+    with single_thread():
+        lm = _eigsh(
+            target,
+            k=1,
+            which="LM",
+            return_eigenvectors=False,
+            maxiter=_ARPACK_MAXITER,
+            v0=start_vector(dim, target.dtype),
+        )
+    return _least_eigenvalue(apply, dim, target.dtype, max(1.0, abs(float(lm[0]))))
 
 
 def certified_margin(op, scale: float) -> float:
@@ -388,7 +398,7 @@ def certified_margin(op, scale: float) -> float:
         cholesky(shifted.T, overwrite_a=True, check_finite=False)
         return theta
     except (ArpackError, LinAlgError, RuntimeError):
-        return float(np.linalg.eigvalsh(target.toarray())[0])
+        return float(_eigvalsh(target.toarray())[0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ from ffgap.operators import (
     chain_hamiltonian,
     cyclic_distance,
     enlarged_ring,
-    positive_eigenspace,
     q_and_f,
     region_hamiltonian,
 )
+from ffgap.spectra import positive_eigenspace
 
 RNG = np.random.default_rng(8451)
 

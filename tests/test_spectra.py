@@ -1,8 +1,10 @@
 """Spectral gap reports, PSD margins, chain kernels, and boundary gap profiles."""
 
+import ast
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+import ffgap
 from ffgap import spectra
+from ffgap.coefficients import SQRT6, coeffs_1d
+from ffgap.criteria import rewrite_margin
 from ffgap.lattice import InteractionShape, box_region, rhomboid_sites
 from ffgap.models import ModelSpec, commuting_cell_2d, frustration_free, random_cell_2d, random_ff
 from ffgap.operators import (
@@ -93,11 +98,11 @@ class TestPsdMargin:
         arr = (m + m.T) / 2.0
         want = float(np.linalg.eigvalsh(arr)[0])
         op = LinearOperator((300, 300), matvec=lambda v: arr @ v, dtype=float)
-        got = psd_margin(op, tol=1e-10, v0=rng.standard_normal(300))
+        got = psd_margin(op)
         assert got == pytest.approx(want, rel=1e-8)
 
     def test_blas_pinned_to_one_thread_in_every_lanczos_solve(
-        self, monkeypatch, pools, aklt_spec, commuting_cell_spec
+        self, monkeypatch, pools, aklt_spec, commuting_cell_spec, random_chain_d2
     ):
         seen = []
 
@@ -112,6 +117,10 @@ class TestPsdMargin:
         values = np.linspace(-1.0, 1.0, 50)
         psd_margin(LinearOperator((50, 50), matvec=lambda v: values * v, dtype=float))
         assert len(seen) >= 6
+        # the rewrite margin's scale and margin are spectra's solves too
+        before = len(seen)
+        rewrite_margin(random_chain_d2.payload, 8, 4, coeffs_1d(4, SQRT6))
+        assert len(seen) == before + 2
         assert all(sizes == [1] * len(pools) for sizes in seen)
         assert [getter() for _, getter in pools] == [2] * len(pools)
 
@@ -310,6 +319,7 @@ class TestPastTheBudget:
         assert region_kernels(commuting_cell_spec.payload, region) is None
         report = region_gap(commuting_cell_spec.payload, region)
         assert (report.method, report.kernel_dim, report.gap) == ("dense", 1, pytest.approx(1.0))
+        assert frustration_free(commuting_cell_spec.payload, "cell_2d", 3)
 
     def test_refused_above_the_dense_cutoff_before_assembly(self, monkeypatch, aklt_spec):
         def refuse(*args, **kwargs):
@@ -483,3 +493,24 @@ def test_kernel_and_gap_match_dense_ed_on_random_chains(model):
             report = chain_gap(chain, m, kernels=kernels)
             assert report.kernel_dim == kernel_dim, (name, m)
             assert report.gap == pytest.approx(gap, abs=1e-10 * scale), (name, m)
+
+
+EIGENSOLVERS = {"eigsh", "eigs", "eigh", "eigvalsh", "eigvals", "svd", "cholesky"}
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in Path(ffgap.__file__).parent.glob("*.py") if p.name != "spectra.py"),
+)
+def test_only_spectra_diagonalizes(module):
+    """No module but spectra names an eigensolver or a factorization (a call, attribute or import)."""
+    tree = ast.parse((Path(ffgap.__file__).parent / module).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    assert not names & EIGENSOLVERS, f"{module} references {sorted(names & EIGENSOLVERS)}"
