@@ -468,9 +468,10 @@ def rewrite_margin(
     the margin is the least eigenvalue of the difference D and the scale is
     the largest eigenvalue of the dominating side (at least 1). Both come
     from spectra's Lanczos routines on matrix-free operators of the m-site
-    chain: the scale from ``_largest_eigenvalue``, the margin from the
-    shifted solve of ``_least_eigenvalue`` at tolerance ``eigsh_tol``, which
-    raises when its eigenpair residual is too large. Each matvec of D
+    chain, in the ring's dtype (real for real models): the scale from
+    ``_largest_eigenvalue``, the margin from the shifted solve of
+    ``_least_eigenvalue`` at tolerance ``eigsh_tol``, which raises when its
+    eigenpair residual is too large. Each matvec of D
     applies every term once for the term images and once more for the rest
     (``rewrite_difference``), 2(m+1) term applications in all.
     """
@@ -487,8 +488,8 @@ def rewrite_margin(
     def difference(v):
         return rewrite_difference(ring, coeffs.c, v)
 
-    scale = max(1.0, _largest_eigenvalue(rhs_matvec, dim, np.complex128))
-    return _least_eigenvalue(difference, dim, np.complex128, scale, tol=eigsh_tol), scale
+    scale = max(1.0, _largest_eigenvalue(rhs_matvec, dim, ring.dtype))
+    return _least_eigenvalue(difference, dim, ring.dtype, scale, tol=eigsh_tol), scale
 
 
 def window_gap_margins(

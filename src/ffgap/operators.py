@@ -47,8 +47,10 @@ MAX_ED_DIM = 1 << 16  # no operator above this is assembled (the AKLT profile at
 class LocalProjector:
     """A dense Hermitian idempotent matrix on k sites of local dimension d.
 
-    The zero matrix is allowed (an absent boundary term is stored as the
-    zero projector rather than None).
+    The matrix is stored as float64 when its imaginary part is exactly zero,
+    and as complex128 otherwise; operators and kernels built from real
+    projectors stay real. The zero matrix is allowed (an absent boundary
+    term is stored as the zero projector rather than None).
     """
 
     k: int
@@ -57,6 +59,8 @@ class LocalProjector:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=np.complex128)
+        if not m.imag.any():
+            m = m.real.copy()
         m.setflags(write=False)
         dim = self.d ** self.k
         if m.shape != (dim, dim):
@@ -155,7 +159,9 @@ class LocalSum:
     significant). Each term is (positions, block, weight): ``block`` acts on
     the factors at the 0-based ``positions``, in the order given (which need
     be neither sorted nor contiguous), and is extended by the identity on
-    the rest. A zero block is allowed and keeps its term's index.
+    the rest. A zero block is allowed and keeps its term's index. Each block
+    keeps its dtype (float64 or complex128), and ``dtype`` is their result
+    type.
     """
 
     def __init__(self, dims, terms):
@@ -167,7 +173,7 @@ class LocalSum:
                 raise ValueError(f"factor positions {positions} outside 0..{len(self.dims) - 1}")
             if len(set(positions)) != len(positions):
                 raise ValueError(f"duplicate factor positions {positions}")
-            block = np.asarray(block, dtype=np.complex128)
+            block = np.asarray(block, dtype=np.result_type(block, np.float64))
             local_dim = math.prod(self.dims[p] for p in positions)
             if block.shape != (local_dim, local_dim):
                 raise ValueError(
@@ -179,6 +185,11 @@ class LocalSum:
     @property
     def dim(self) -> int:
         return math.prod(self.dims)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """float64 when every block is real, complex128 otherwise."""
+        return np.result_type(np.float64, *(block.dtype for _, block, _ in self.terms))
 
     def assemble(self) -> sp.csr_matrix:
         """The sum as one CSR matrix, built from one COO triplet list.
@@ -198,7 +209,7 @@ class LocalSum:
             return out
 
         rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        data = [np.zeros(0, dtype=np.complex128)]
+        data = [np.zeros(0, dtype=self.dtype)]
         for positions, block, weight in self.terms:
             target = offsets(positions)
             rest = offsets([p for p in range(len(self.dims)) if p not in positions])

@@ -434,9 +434,10 @@ def _grow(d: int, site_cuts):
     Each site tensors the kernel with C^d, K <- K (x) C^d, then cuts it by
     the terms of ``site_cuts[i]`` ((matrix, positions) pairs), the terms
     whose last site is site i. Stops before the first site whose SVD cost
-    d^m (d k)^2 exceeds KERNEL_SVD_BUDGET.
+    d^m (d k)^2 exceeds KERNEL_SVD_BUDGET. The kernel is real until a
+    complex term cuts it.
     """
-    K = np.ones((1, 1), dtype=np.complex128)
+    K = np.ones((1, 1))
     for cuts in site_cuts:
         if K.shape[0] * d * (K.shape[1] * d) ** 2 > KERNEL_SVD_BUDGET:
             return

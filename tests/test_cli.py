@@ -291,9 +291,10 @@ class TestReproducibility:
         "argv",
         [
             ("certify", "gm", "--model", "singlet", "--n", "12", "--m", "26"),  # deflated at 2^12
+            ("certify", "thm1", "--model", "aklt", "--n", "8"),  # real deflated Lanczos at 3^8
             ("verify", "--seed", "0", "--trials", "1"),  # rewrite-margin Lanczos
         ],
-        ids=["deflated_gap", "rewrite_margin"],
+        ids=["deflated_gap", "real_deflated_gap", "rewrite_margin"],
     )
     def test_byte_identical_across_processes(self, argv):
         src = str(Path(ffgap.__file__).resolve().parents[1])

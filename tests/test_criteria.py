@@ -444,8 +444,8 @@ class TestOperatorChecks:
 
     @pytest.mark.parametrize(
         "chain, m, n",
-        [("random_chain_d2", 8, 4), ("random_chain_d3_boundary", 6, 3)],
-        ids=["d2", "d3"],
+        [("random_chain_d2", 8, 4), ("random_chain_d3_boundary", 6, 3), ("aklt_spec", 6, 3)],
+        ids=["d2", "d3", "aklt"],
     )
     def test_rewrite_margin_matches_kron_reference(self, request, chain, m, n):
         model = request.getfixturevalue(chain).payload

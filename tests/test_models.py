@@ -195,6 +195,21 @@ class TestModelFiles:
             assert sa.offsets == sb.offsets
             assert np.array_equal(pa.matrix, pb.matrix)
 
+    @pytest.mark.parametrize(
+        "fixture, dtype", [("aklt_spec", np.float64), ("random_chain_d3_boundary", np.complex128)]
+    )
+    def test_round_trip_keeps_the_dtype_and_format(self, tmp_path, request, fixture, dtype):
+        spec = request.getfixturevalue(fixture)
+        path = tmp_path / "chain.json"
+        save(spec, path)
+        loaded = load(path, ff_check_depth=4).payload
+        assert loaded.P.matrix.dtype == dtype
+        assert np.array_equal(loaded.P.matrix, spec.payload.P.matrix)
+        # every entry is still a [re, im] pair, also for real projectors
+        P = np.asarray(spec.payload.P.matrix, dtype=complex)
+        want = [[[float(z.real), float(z.imag)] for z in row] for row in P]
+        assert json.loads(path.read_text())["P"] == want
+
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"kind": "chain", "d": 2, "P": [[[1.0, 0.0]]]}))

@@ -311,3 +311,38 @@ class TestAkltAlgebra:
         H = chain_hamiltonian(aklt_spec.payload, 2).toarray()
         vals = np.linalg.eigvalsh(H)
         assert int(np.sum(vals < 1e-10)) == 4
+
+
+class TestDtypeRule:
+    """Projectors with an exactly zero imaginary part, and all built from them, are float64."""
+
+    def test_projector_dtype_follows_its_imaginary_part(self):
+        assert LocalProjector(1, 2, np.diag([1.0, 0.0]).astype(complex)).matrix.dtype == np.float64
+        assert LocalProjector.zero(1, 3).matrix.dtype == np.float64
+        assert LocalProjector(2, 2, random_projector(4, 1)).matrix.dtype == np.complex128
+
+    @pytest.mark.parametrize("fixture", ["aklt_spec", "singlet_spec"])
+    def test_real_chains_are_float64(self, request, fixture):
+        model = request.getfixturevalue(fixture).payload
+        assert {p.matrix.dtype for p in (model.P, model.P_L, model.P_R)} == {np.dtype(np.float64)}
+        assert chain_hamiltonian(model, 4).dtype == np.float64
+        assert enlarged_ring(model, 4).dtype == np.float64
+
+    def test_random_chain_stays_complex(self, random_chain_d3_boundary):
+        model = random_chain_d3_boundary.payload
+        assert model.P.matrix.dtype == np.complex128
+        assert chain_hamiltonian(model, 4).dtype == np.complex128
+        assert enlarged_ring(model, 4).dtype == np.complex128
+
+    def test_cell_projectors(self, commuting_cell_spec, random_cells_2d):
+        # their region Hamiltonians and kernels: tests/test_spectra.py::TestRealArithmetic
+        (_, proj), = commuting_cell_spec.payload.terms
+        assert proj.matrix.dtype == np.float64
+        assert all(p.matrix.dtype == np.complex128 for _, p in random_cells_2d[0].payload.terms)
+
+    def test_local_sum_keeps_each_block_dtype(self):
+        real, cplx = np.diag([1.0, 0.0]), random_projector(2, 1)
+        mixed = LocalSum((2, 2), [((0,), real, 1.0), ((1,), cplx, 1.0)])
+        assert [block.dtype for _, block, _ in mixed.terms] == [np.float64, np.complex128]
+        assert mixed.dtype == mixed.assemble().dtype == np.complex128
+        assert LocalSum((2, 2), [((0,), real, 1.0)]).assemble().dtype == np.float64

@@ -387,9 +387,8 @@ def region_cells():
 
 
 def region_spectrum(cell, region):
-    """Dense ED of a region Hamiltonian, in real arithmetic when its matrix is real."""
-    H = region_hamiltonian(cell, region).toarray()
-    return np.linalg.eigvalsh(H.real if not H.imag.any() else H)
+    """Dense ED of a region Hamiltonian (float64, so real arithmetic, for the real cells)."""
+    return np.linalg.eigvalsh(region_hamiltonian(cell, region).toarray())
 
 
 class TestRegionKernels:
@@ -463,6 +462,61 @@ class TestKernelCrossCheck:
     def test_bad_kernel_arguments_rejected(self):
         with pytest.raises(ValueError):
             spectral_gap(np.eye(4), kernel=np.zeros((3, 1)))
+
+
+class TestRealArithmetic:
+    """Kernels and Lanczos solves of models with real projectors run in float64."""
+
+    @pytest.mark.parametrize(
+        "fixture, dtype",
+        [("aklt_spec", np.float64), ("singlet_spec", np.float64),
+         ("random_chain_d3_boundary", np.complex128)],
+    )
+    def test_chain_kernels_follow_the_projectors(self, request, fixture, dtype):
+        model = request.getfixturevalue(fixture).payload
+        assert all(K.dtype == dtype for K in chain_kernels(model, 5))
+        # the one-site periodic kernel is C^d, cut by no term
+        periodic = chain_kernels(replace(model, bc="periodic"), 5)
+        assert periodic[0].dtype == np.float64
+        assert all(K.dtype == dtype for K in periodic[1:])
+
+    @pytest.mark.parametrize(
+        "cell_name, dtype",
+        [("commuting", np.float64), ("bonds_rank1", np.float64), ("bonds_rank2", np.float64),
+         ("random_d2", np.complex128), ("random_d3", np.complex128)],
+    )
+    def test_region_operators_follow_the_cell(self, region_cells, cell_name, dtype):
+        cell, region = region_cells[cell_name], WINDOWS["box_2x3"]
+        assert region_hamiltonian(cell, region).dtype == dtype
+        assert region_kernels(cell, region).dtype == dtype
+
+    @pytest.mark.parametrize("fixture, m", [("aklt_spec", 7), ("singlet_spec", 12)])
+    def test_real_deflated_gap_matches_a_complex_run(self, request, fixture, m):
+        model = request.getfixturevalue(fixture).payload
+        H, K = chain_hamiltonian(model, m), chain_kernels(model, m)[-1]
+        real = chain_gap(model, m)
+        cplx = spectral_gap(H.astype(complex), kernel=K.astype(complex))
+        assert real.method == cplx.method == "deflated"
+        assert real.kernel_dim == cplx.kernel_dim
+        scale = m - 1  # a sum of m-1 projectors has norm at most m-1
+        assert real.gap == pytest.approx(cplx.gap, abs=1e-10 * scale)
+        assert real.ground_energy == pytest.approx(cplx.ground_energy, abs=1e-10 * scale)
+
+    def test_aklt_deflated_solve_is_real(self, monkeypatch, aklt_spec):
+        seen = []
+
+        def record(A, **kwargs):
+            seen.append((A.shape[0], kwargs.get("which"), A.dtype))
+            return eigsh(A, **kwargs)
+
+        monkeypatch.setattr(spectra, "eigsh", record)
+        assert chain_gap(aklt_spec.payload, 7).method == "deflated"
+        assert (3**7, "SA", np.float64) in seen
+        assert all(dtype == np.float64 for _, _, dtype in seen)
+        # the rewrite margin's scale and margin solves follow the ring's dtype
+        seen.clear()
+        rewrite_margin(aklt_spec.payload, 6, 3, coeffs_1d(3, SQRT6))
+        assert [dtype for _, _, dtype in seen] == [np.float64, np.float64]
 
 
 @st.composite
