@@ -33,7 +33,9 @@ def _pools() -> tuple:
 
 
 def set_threads(k: int) -> None:
-    """Cap every bundled OpenBLAS at k threads."""
+    """Cap every bundled OpenBLAS at k threads; k below 1 is refused."""
+    if k < 1:
+        raise ValueError(f"need at least 1 BLAS thread, got {k}")
     for setter, _ in _pools():
         setter(k)
 

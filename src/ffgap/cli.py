@@ -29,6 +29,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
+RANDOM_KEYS = ("d", "rank_bulk", "rank_boundary", "seed")  # random:<key>=<int>,... recipes
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,13 @@ class RunConfig:
 
 
 def parse_sizes(text: str) -> tuple[int, ...]:
-    """Parse '6', '4..9', or '4,6,8' into a tuple of sizes."""
+    """Parse '6', '4..9', or '4,6,8' into a nonempty tuple of sizes."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        sizes = tuple(range(int(lo), int(hi) + 1))
+        if not sizes:
+            raise ValueError(f"empty size range {text!r}")
+        return sizes
     return tuple(int(part) for part in text.split(","))
 
 
@@ -157,8 +161,12 @@ def resolve_model(name: str, ff_check_depth: int = 8):
     if name.startswith("random:"):
         kwargs = {}
         for part in name[len("random:"):].split(","):
-            key, value = part.split("=", 1)
+            key, _, value = part.partition("=")
             kwargs[key.strip()] = int(value)
+        unknown = [key for key in kwargs if key not in RANDOM_KEYS]
+        if unknown or "d" not in kwargs:
+            problem = f"unknown key {unknown[0]!r}" if unknown else "missing key 'd'"
+            raise ValueError(f"{problem} in {name!r}; the keys are {', '.join(RANDOM_KEYS)}")
         return models.random_ff(
             kwargs["d"],
             kwargs.get("rank_bulk", 1),
@@ -396,9 +404,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        set_threads(args.threads)
     try:
+        if args.threads is not None:
+            set_threads(args.threads)
         result, code = _COMMANDS[args.command](args)
         _emit(result, _run_config(args), args)
         return code

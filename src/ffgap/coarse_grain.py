@@ -42,7 +42,7 @@ from .operators import (
     LocalSum,
     region_terms,
 )
-from .spectra import PSD_DENSE_CUTOFF, positive_eigenspace
+from .spectra import DENSE_MAX_DIM, positive_eigenspace
 
 
 class CellRejection(ValueError):
@@ -187,10 +187,10 @@ def effective_1d(
     d = cell.d
     metaspin_dim = d ** (R * m2)
     pair_dim = metaspin_dim ** 2
-    if pair_dim > PSD_DENSE_CUTOFF:
+    if pair_dim > DENSE_MAX_DIM:
         raise ValueError(
             f"metaspin dimension overflow: two-strip block dimension {pair_dim} "
-            f"exceeds dense cap {PSD_DENSE_CUTOFF}"
+            f"exceeds dense cap {DENSE_MAX_DIM}"
         )
     region = box_region(2 * R, m2)
     terms = [
@@ -287,10 +287,10 @@ def effective_2d(
     d = cell.d
     metaspin_dim = d ** (R * R)
     window_dim = metaspin_dim ** 4
-    if window_dim > PSD_DENSE_CUTOFF:
+    if window_dim > DENSE_MAX_DIM:
         raise ValueError(
             f"metaspin dimension overflow: plaquette block dimension {window_dim} "
-            f"exceeds dense cap {PSD_DENSE_CUTOFF}"
+            f"exceeds dense cap {DENSE_MAX_DIM}"
         )
     centers = [(0, 0), (0, R), (R, 0), (R, R)]
     box_major = [site for center in centers for site in box_sites(center, R)]

@@ -43,8 +43,8 @@ from .operators import (
     q_and_f,
 )
 from .spectra import (
+    DENSE_MAX_DIM,
     MARGIN_RTOL,
-    PSD_DENSE_CUTOFF,
     GapProfile,
     _eigvalsh,
     _largest_eigenvalue,
@@ -608,15 +608,15 @@ def prop2d_margin(
     + beta lambda_max_H), and ``margin`` the least eigenvalue of D from
     ``spectra.certified_margin`` (Lanczos, certified by one Cholesky
     factorization; dense when that fails). Passes when margin >=
-    -MARGIN_RTOL * scale. Rhomboids above PSD_DENSE_CUTOFF are refused
+    -MARGIN_RTOL * scale. Rhomboids above DENSE_MAX_DIM are refused
     before anything is assembled.
     """
     eff = effective if effective is not None else effective_2d(cell, cell.R)
     dim = eff.metaspin_dim ** len(rhomboid_sites(m1, m2, eff.R)[1])
-    if dim > PSD_DENSE_CUTOFF:
+    if dim > DENSE_MAX_DIM:
         raise ValueError(
             f"2D margin check requires a dense-diagonalizable rhomboid, got dim {dim} "
-            f"> {PSD_DENSE_CUTOFF}"
+            f"> {DENSE_MAX_DIM}"
         )
     wt = weight_table(n)
     c2d = coeffs_2d(n)

@@ -48,7 +48,7 @@ class ModelSpec:
 
 def _box_is_ff(cell: InteractionCell, region) -> bool:
     K = spectra.region_kernels(cell, region)
-    if K is None:  # past the kernel SVD budget: diagonalized (boxes are <= DENSE_CUTOFF)
+    if K is None:  # past the kernel SVD budget: diagonalized (boxes are <= DENSE_MAX_DIM)
         return spectra.spectral_gap(region_hamiltonian(cell, region)).kernel_dim > 0
     return K.shape[1] > 0
 
@@ -59,9 +59,9 @@ def frustration_free(spec_payload, kind: str, depth: int) -> bool:
     A window passes when its kernel, built without diagonalization by
     ``spectra.chain_kernels`` or ``spectra.region_kernels``, is nonempty;
     windows past the kernel SVD budget are diagonalized (dense, up to
-    ``spectra.DENSE_FALLBACK_CUTOFF``; larger ones raise ValueError).
+    ``spectra.DENSE_MAX_DIM``; longer chains raise ValueError).
     Chains are checked at lengths 2..depth, 2D cells on all boxes (a, b)
-    with a, b <= depth of dimension at most ``spectra.DENSE_CUTOFF``.
+    with a <= b <= depth of dimension at most ``spectra.DENSE_MAX_DIM``.
     """
     if kind == "chain":
         kernels = spectra.chain_kernels(spec_payload, depth)
@@ -75,7 +75,7 @@ def frustration_free(spec_payload, kind: str, depth: int) -> bool:
         _box_is_ff(spec_payload, box_region(a, b))
         for a in range(1, depth + 1)
         for b in range(a, depth + 1)
-        if spec_payload.d ** (a * b) <= spectra.DENSE_CUTOFF
+        if spec_payload.d ** (a * b) <= spectra.DENSE_MAX_DIM
     )
 
 

@@ -10,8 +10,11 @@ cases of that one recursion. A gap from such a basis is cross-checked
 against it and deflated by it: dense below a size cutoff, one Lanczos
 (ARPACK) solve above it, with an explicit residual check so a silently
 unconverged eigenvalue cannot masquerade as a gap. Without a basis, a gap is
-dense or refused. Every ARPACK start vector is seeded, so reruns are
-identical. No other module of the package diagonalizes or factors a matrix.
+dense or refused. Operators are sparse matrices or ndarrays, never
+matrix-free, and nothing larger than DENSE_MAX_DIM is densified. Every
+ARPACK start vector is seeded; chain results rerun bit for bit, but the 2D
+scale of ``prop2d_margin`` has been seen to change in its last bits between
+processes (cause not found). No other module diagonalizes or factors a matrix.
 """
 
 from __future__ import annotations
@@ -36,11 +39,9 @@ from .operators import (
     region_terms,
 )
 
-# size cutoffs (Hilbert-space dimensions)
-DENSE_CUTOFF = 2048  # cell boxes up to here are checked for frustration-freeness
+# size limits (Hilbert-space dimensions; assembly is capped by operators.MAX_ED_DIM)
+DENSE_MAX_DIM = 8192  # the largest matrix ffgap densifies
 KERNEL_DENSE_CUTOFF = 512  # spectral_gap with a kernel basis: dense up to here, deflated above
-DENSE_FALLBACK_CUTOFF = 8192  # spectral_gap without a kernel basis: dense up to here, refused above
-PSD_DENSE_CUTOFF = 4096
 KERNEL_SVD_BUDGET = 1 << 30  # largest cost d^m (d k)^2 of one SVD of the kernel recursion
 
 RESIDUAL_RTOL = 1e-8
@@ -106,30 +107,31 @@ class GapProfile:
 
 
 # ---------------------------------------------------------------------------
-# input normalization
+# input matrices
 # ---------------------------------------------------------------------------
 
-def _normalize(op):
-    """Return (apply, eigsh_target, dim, dense_array_or_None)."""
-    if isinstance(op, LinearOperator):
-        if op.shape[0] != op.shape[1]:
-            raise ValueError("operator must be square")
-        return op.matvec, op, op.shape[0], None
+def _matrix(op):
+    """A square CSR matrix or ndarray; anything else (a matrix-free operator) is refused."""
     if sp.issparse(op):
-        mat = sp.csr_matrix(op)
-        return (lambda v: mat @ v), mat, mat.shape[0], None
-    arr = np.asarray(op)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        op = sp.csr_matrix(op)
+    elif not isinstance(op, np.ndarray):
+        raise ValueError(
+            f"spectra takes a sparse matrix or an ndarray, not a matrix-free {type(op).__name__}; "
+            "chain_gap and region_gap assemble a window's Hamiltonian"
+        )
+    if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError("operator must be a square matrix")
-    return (lambda v: arr @ v), arr, arr.shape[0], arr
+    return op
 
 
-def _densify(target, dim):
-    if isinstance(target, LinearOperator):
-        return None
-    if sp.issparse(target):
-        return target.toarray() if dim <= DENSE_FALLBACK_CUTOFF else None
-    return np.asarray(target)
+def _dense(H) -> np.ndarray:
+    """H as a dense array, refused above DENSE_MAX_DIM."""
+    if H.shape[0] > DENSE_MAX_DIM:
+        raise ValueError(
+            f"spectra densifies up to dimension {DENSE_MAX_DIM}, got {H.shape[0]}; "
+            "chain_gap and region_gap build the kernel basis that avoids it"
+        )
+    return H.toarray() if sp.issparse(H) else H
 
 
 def start_vector(dim: int, dtype=np.float64) -> np.ndarray:
@@ -228,21 +230,21 @@ def _dense_report(vals: np.ndarray, zero_tol: float) -> GapReport:
     )
 
 
-def _kernel_report(apply, target, dim, arr, kernel, zero_tol) -> GapReport:
+def _kernel_report(H, kernel, zero_tol) -> GapReport:
     """Gap of H from a claimed orthonormal kernel basis K, cross-checked both ways.
 
     lambda_max(K^H H K) <= zero_tol * scale shows, by interlacing, that H has
     at least dim K eigenvalues at or below the kernel threshold; a gap above
     the threshold shows that it has no more. Either failure raises.
     """
+    dim = H.shape[0]
     K = np.asarray(kernel)
     if K.ndim != 2 or K.shape[0] != dim:
         raise ValueError(f"kernel basis must have shape ({dim}, k), got {K.shape}")
     k = K.shape[1]
     ritz = np.zeros(0)  # eigenvalues of K^H H K
     if k:
-        HK = np.column_stack([apply(K[:, j]) for j in range(k)])
-        ritz = np.linalg.eigvalsh(K.conj().T @ HK)
+        ritz = np.linalg.eigvalsh(K.conj().T @ (H @ K))
 
     def check_kernel(threshold):
         if k and ritz[-1] > threshold:
@@ -252,7 +254,7 @@ def _kernel_report(apply, target, dim, arr, kernel, zero_tol) -> GapReport:
             )
 
     def dense_report():
-        vals = _eigvalsh(arr if arr is not None else _densify(target, dim))
+        vals = _eigvalsh(_dense(H))
         report = _dense_report(vals, zero_tol)
         check_kernel(zero_tol * max(1.0, float(vals[-1])))
         if report.kernel_dim != k:
@@ -262,14 +264,14 @@ def _kernel_report(apply, target, dim, arr, kernel, zero_tol) -> GapReport:
             )
         return report
 
-    if dim <= KERNEL_DENSE_CUTOFF and not isinstance(target, LinearOperator):
+    if dim <= KERNEL_DENSE_CUTOFF:
         return dense_report()
 
     if k == dim:
         scale = max(1.0, float(ritz[-1]))
         check_kernel(zero_tol * scale)
         return GapReport(dim, float(ritz[0]), dim, math.inf, "deflated", zero_tol, 0.0)
-    lam_max = _largest_eigenvalue(apply, dim, target.dtype)
+    lam_max = _largest_eigenvalue(lambda v: H @ v, dim, H.dtype)
     scale = max(1.0, lam_max)
     threshold = zero_tol * scale
     check_kernel(threshold)
@@ -282,15 +284,15 @@ def _kernel_report(apply, target, dim, arr, kernel, zero_tol) -> GapReport:
         return np.einsum("ij,j...->i...", K, np.einsum("ij,i...->j...", K_conj, v))
 
     def deflated(v):
-        return apply(v) + scale * project(v)
+        return H @ v + scale * project(v)
 
-    dtype = np.result_type(target.dtype, K.dtype)
+    dtype = np.result_type(H.dtype, K.dtype)
     op = LinearOperator((dim, dim), matvec=deflated, dtype=dtype)
     v0 = start_vector(dim, dtype)
     v0 -= project(v0)
     # A gap inside a tight cluster (nearly gapless chains) can take Lanczos
     # longer than dense ED; such solves get a restart budget, then go dense.
-    can_densify = arr is not None or (sp.issparse(target) and dim <= DENSE_FALLBACK_CUTOFF)
+    can_densify = dim <= DENSE_MAX_DIM
     restarts = DEFLATED_RESTARTS if can_densify else _ARPACK_MAXITER
     try:
         with single_thread():
@@ -332,49 +334,27 @@ def spectral_gap(op, zero_tol: float = 1e-10, kernel=None) -> GapReport:
     (raising on a mismatch) and the gap is then dense up to dimension 512,
     and above it the lowest eigenvalue of H + max(1, lambda_max) Pi_K by one
     Lanczos solve ("deflated"), which goes dense after DEFLATED_RESTARTS
-    restarts when the operator can be densified.
+    restarts up to DENSE_MAX_DIM.
 
-    Without ``kernel`` the gap is dense up to DENSE_FALLBACK_CUTOFF, and
-    refused above it and for matrix-free operators.
+    Without ``kernel`` the gap is dense up to DENSE_MAX_DIM, and refused
+    above it. ``op`` is a sparse matrix or an ndarray.
     """
-    apply, target, dim, arr = _normalize(op)
+    H = _matrix(op)
     if kernel is not None:
-        return _kernel_report(apply, target, dim, arr, kernel, zero_tol)
-    if arr is None:
-        arr = _densify(target, dim)
-    if arr is None or dim > DENSE_FALLBACK_CUTOFF:
-        raise ValueError(
-            f"a gap without a kernel basis is dense, up to dimension {DENSE_FALLBACK_CUTOFF} "
-            "and not for matrix-free operators; chain_gap and region_gap build the basis"
-        )
-    return _dense_report(_eigvalsh(arr), zero_tol)
+        return _kernel_report(H, kernel, zero_tol)
+    return _dense_report(_eigvalsh(_dense(H)), zero_tol)
 
 
 def psd_margin(op) -> float:
-    """The least eigenvalue of a Hermitian operator.
+    """The least eigenvalue of a Hermitian matrix, dense, up to dimension DENSE_MAX_DIM.
 
     Certifies inequalities X >= Y by psd_margin(X - Y) >= -tolerance.
-    Dense up to dimension 4096 (always for ndarray input); above it, and for
-    matrix-free operators, |lambda|max by one Lanczos solve sets the scale of
-    the shifted Lanczos solve of ``_least_eigenvalue`` and its residual check.
     """
-    apply, target, dim, arr = _normalize(op)
-    if arr is not None or (dim <= PSD_DENSE_CUTOFF and not isinstance(target, LinearOperator)):
-        return float(_eigvalsh(arr if arr is not None else target.toarray())[0])
-    with single_thread():
-        lm = _eigsh(
-            target,
-            k=1,
-            which="LM",
-            return_eigenvectors=False,
-            maxiter=_ARPACK_MAXITER,
-            v0=start_vector(dim, target.dtype),
-        )
-    return _least_eigenvalue(apply, dim, target.dtype, max(1.0, abs(float(lm[0]))))
+    return float(_eigvalsh(_dense(_matrix(op)))[0])
 
 
 def certified_margin(op, scale: float) -> float:
-    """The least eigenvalue of a sparse Hermitian operator, certified by a Cholesky factorization.
+    """The least eigenvalue of a Hermitian matrix, certified by a Cholesky factorization.
 
     theta comes from one Lanczos solve (``_least_eigenvalue``) and is never
     below the least eigenvalue. A Cholesky factorization of op - sigma*I with
@@ -383,22 +363,23 @@ def certified_margin(op, scale: float) -> float:
     MARGIN_RTOL * scale, and the margin passes (>= -MARGIN_RTOL * scale).
     (The factorization's backward error, about dim * eps * |op|, is far
     below that.) When the factorization fails, as it must on a failing
-    inequality, or Lanczos fails, the margin is the dense least eigenvalue.
-    Dimensions up to PSD_DENSE_CUTOFF.
+    inequality, or Lanczos fails, the margin is ``psd_margin``.
+    Dimensions up to DENSE_MAX_DIM.
     """
-    apply, target, dim, _ = _normalize(op)
-    if not sp.issparse(target) or dim > PSD_DENSE_CUTOFF:
-        raise ValueError(f"certified margins need a sparse matrix of dim <= {PSD_DENSE_CUTOFF}")
+    H = _matrix(op)
+    dim = H.shape[0]
+    if dim > DENSE_MAX_DIM:
+        raise ValueError(f"certified margins need a matrix of dim <= {DENSE_MAX_DIM}")
     try:
-        theta = _least_eigenvalue(apply, dim, target.dtype, scale)
-        shifted = target.toarray()
+        theta = _least_eigenvalue(lambda v: H @ v, dim, H.dtype, scale)
+        shifted = H.toarray() if sp.issparse(H) else H.copy()
         shifted[np.diag_indices(dim)] -= max(theta, 0.0) - MARGIN_RTOL * scale
         # the Fortran-ordered view is the conjugate, so equally definite, and
         # is factored in place without a copy
         cholesky(shifted.T, overwrite_a=True, check_finite=False)
         return theta
     except (ArpackError, LinAlgError, RuntimeError):
-        return float(_eigvalsh(target.toarray())[0])
+        return psd_margin(H)
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +477,12 @@ def region_kernels(cell: InteractionCell, region: SiteRegion) -> np.ndarray | No
 def _window_gap(dim: int, kernel, assemble, zero_tol: float = 1e-10) -> GapReport:
     """spectral_gap of a window from its kernel basis; dense when there is none.
 
-    Without one it refuses above DENSE_FALLBACK_CUTOFF before assembling.
+    Without one it refuses above DENSE_MAX_DIM before assembling.
     """
-    if kernel is None and dim > DENSE_FALLBACK_CUTOFF:
+    if kernel is None and dim > DENSE_MAX_DIM:
         raise ValueError(
             f"window dimension {dim} is past the kernel SVD budget and above the "
-            f"dense cutoff {DENSE_FALLBACK_CUTOFF}"
+            f"dense cutoff {DENSE_MAX_DIM}"
         )
     return spectral_gap(assemble(), zero_tol=zero_tol, kernel=kernel)
 
@@ -513,7 +494,7 @@ def chain_gap(
 
     ``kernels`` is the output of ``chain_kernels(model, n)`` for some n (built
     here when omitted). Lengths past the kernel SVD budget are dense up to
-    DENSE_FALLBACK_CUTOFF. Raises ValueError above MAX_ED_DIM, or above the
+    DENSE_MAX_DIM. Raises ValueError above MAX_ED_DIM, or above the
     dense cutoff without a kernel basis, before assembling.
     """
     check_dim(model.d**m)
@@ -526,7 +507,7 @@ def chain_gap(
 def region_gap(cell: InteractionCell, region: SiteRegion) -> GapReport:
     """spectral_gap of a cell's region Hamiltonian from ``region_kernels``.
 
-    Past the kernel SVD budget it is dense up to DENSE_FALLBACK_CUTOFF. Raises
+    Past the kernel SVD budget it is dense up to DENSE_MAX_DIM. Raises
     ValueError above MAX_ED_DIM, or above the dense cutoff without a kernel
     basis, before assembling.
     """

@@ -40,6 +40,12 @@ class TestParseSizes:
         assert parse_sizes("4..7") == (4, 5, 6, 7)
         assert parse_sizes("4,6,8") == (4, 6, 8)
 
+    def test_empty_range_refused(self, capsys):
+        with pytest.raises(ValueError, match=r"empty size range '5\.\.3'"):
+            parse_sizes("5..3")
+        assert main(["gap", "--model", "aklt", "--sizes", "5..3"]) == EXIT_ERROR
+        assert "empty size range '5..3'" in capsys.readouterr().err
+
 
 class TestResolveModel:
     def test_builtin_names(self):
@@ -51,6 +57,19 @@ class TestResolveModel:
         spec = resolve_model("random:d=2,rank_bulk=1,rank_boundary=0,seed=9", 4)
         assert spec.kind == "chain"
         assert spec.payload.d == 2
+
+    @pytest.mark.parametrize(
+        "recipe, problem",
+        [("random:d=2,rank_bulks=2,seed=3", "unknown key 'rank_bulks'"),
+         ("random:rank_bulk=1", "missing key 'd'")],
+    )
+    def test_random_recipe_bad_key(self, capsys, recipe, problem):
+        with pytest.raises(ValueError, match=problem):
+            resolve_model(recipe, 4)
+        assert main(["gap", "--model", recipe, "--sizes", "3"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert problem in err
+        assert "the keys are d, rank_bulk, rank_boundary, seed" in err
 
     def test_model_file(self, tmp_path, random_chain_d2):
         path = tmp_path / "model.json"
@@ -318,6 +337,14 @@ class TestThreads:
         code, _ = run(capsys, "--threads", "1", "thresholds", "--n", "4")
         assert code == EXIT_OK
         assert [getter() for _, getter in pools] == [1] * len(pools)
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_fewer_than_one_thread_refused(self, capsys, pools, threads):
+        assert main(["--threads", threads, "thresholds", "--n", "4"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"need at least 1 BLAS thread, got {threads}" in captured.err
+        assert [getter() for _, getter in pools] == [2] * len(pools)
 
     def test_single_thread_restores(self, pools):
         with _blas.single_thread():

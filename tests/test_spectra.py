@@ -27,9 +27,10 @@ from ffgap.operators import (
     region_hamiltonian,
 )
 from ffgap.spectra import (
-    DENSE_CUTOFF,
+    DENSE_MAX_DIM,
     KERNEL_SVD_BUDGET,
     GapProfile,
+    certified_margin,
     chain_gap,
     chain_kernels,
     gap_profile,
@@ -75,31 +76,21 @@ class TestSpectralGap:
         with pytest.raises(ValueError, match="region_gap"):
             spectral_gap(op)
         with pytest.raises(ValueError, match="region_gap"):
-            spectral_gap(sp.identity(8193, format="csr"))
+            spectral_gap(sp.identity(DENSE_MAX_DIM + 1, format="csr"))
 
-    def test_linear_operator_input(self):
+    def test_matrix_free_input_refused(self):
         values = np.array([0.0, 0.3] + [1.0] * 200)
         op = LinearOperator((202, 202), matvec=lambda v: values * v, dtype=float)
-        # a matrix-free operator cannot be densified: deflated even below 512
-        kernel = np.eye(202, 1)
-        report = spectral_gap(op, kernel=kernel)
-        assert (report.method, report.kernel_dim) == ("deflated", 1)
-        assert report.gap == pytest.approx(0.3, rel=1e-8)
+        with pytest.raises(ValueError, match="matrix-free"):
+            spectral_gap(op, kernel=np.eye(202, 1))
+        with pytest.raises(ValueError, match="matrix-free"):
+            psd_margin(op)
 
 
 class TestPsdMargin:
     def test_dense_least_eigenvalue(self):
         arr = np.diag([0.5, -0.25, 3.0])
         assert psd_margin(arr) == pytest.approx(-0.25)
-
-    def test_matrixfree_matches_dense(self):
-        rng = np.random.default_rng(99)
-        m = rng.standard_normal((300, 300))
-        arr = (m + m.T) / 2.0
-        want = float(np.linalg.eigvalsh(arr)[0])
-        op = LinearOperator((300, 300), matvec=lambda v: arr @ v, dtype=float)
-        got = psd_margin(op)
-        assert got == pytest.approx(want, rel=1e-8)
 
     def test_blas_pinned_to_one_thread_in_every_lanczos_solve(
         self, monkeypatch, pools, aklt_spec, commuting_cell_spec, random_chain_d2
@@ -111,12 +102,11 @@ class TestPsdMargin:
             return eigsh(*args, **kwargs)
 
         monkeypatch.setattr(spectra, "eigsh", record)
-        # lambda_max and the deflated solve, twice; |lambda|max and least
+        # lambda_max and the deflated solve, twice; the certified margin's least
         region_gap(commuting_cell_spec.payload, box_region(3, 4))
         chain_gap(aklt_spec.payload, 7)
-        values = np.linspace(-1.0, 1.0, 50)
-        psd_margin(LinearOperator((50, 50), matvec=lambda v: values * v, dtype=float))
-        assert len(seen) >= 6
+        certified_margin(diag_operator(np.linspace(-1.0, 1.0, 50)), 1.0)
+        assert len(seen) == 5
         # the rewrite margin's scale and margin are spectra's solves too
         before = len(seen)
         rewrite_margin(random_chain_d2.payload, 8, 4, coeffs_1d(4, SQRT6))
@@ -234,6 +224,8 @@ def random_chain_d2_left(random_chain_d2):
     return ModelSpec("random_chain_d2_left", "chain", model, ff_check_depth=0)
 
 
+# chains are compared with a full dense ED up to this dimension
+ED_REFERENCE_DIM = 2048
 CHAIN_FIXTURES = ("aklt_spec", "singlet_spec", "random_chain_d2", "random_chain_d2_left",
                   "random_chain_d3_boundary")
 
@@ -243,7 +235,7 @@ class TestChainKernels:
     def test_dimensions_and_gaps_match_dense_ed(self, fixture, request, monkeypatch):
         monkeypatch.setattr(spectra, "KERNEL_DENSE_CUTOFF", 0)  # deflated at every size
         model = request.getfixturevalue(fixture).payload
-        n = int(math.log(DENSE_CUTOFF, model.d) + 1e-9)
+        n = int(math.log(ED_REFERENCE_DIM, model.d) + 1e-9)
         for name, chain in families(model).items():
             kernels = chain_kernels(chain, n)  # shorter than n past the recursion cap
             for m in range(2, len(kernels) + 1):
@@ -328,7 +320,7 @@ class TestPastTheBudget:
         monkeypatch.setattr(spectra, "KERNEL_SVD_BUDGET", 1000)
         monkeypatch.setattr(spectra, "chain_hamiltonian", refuse)
         with pytest.raises(ValueError, match="dense cutoff"):
-            chain_gap(aklt_spec.payload, 9)  # 3^9 > DENSE_FALLBACK_CUTOFF
+            chain_gap(aklt_spec.payload, 9)  # 3^9 > DENSE_MAX_DIM
 
 
 # ---------------------------------------------------------------------------
