@@ -12,7 +12,7 @@ import datetime
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy
 import scipy
@@ -30,35 +30,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 RANDOM_KEYS = ("d", "rank_bulk", "rank_boundary", "seed")  # random:<key>=<int>,... recipes
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything needed to reproduce a run; embedded into every report."""
-
-    command: str
-    model: str | None = None
-    sizes: tuple[int, ...] | None = None
-    n: int | None = None
-    m: int | None = None
-    m2: int | None = None
-    R: int | None = None
-    mode: str | None = None
-    bc: str | None = None
-    seed: int | None = None
-    trials: int | None = None
-    suite: str | None = None
-    zero_tol: float | None = None
-    threads: int | None = None
-    output: str | None = None
-    format: str = "json"
-    no_timestamp: bool = False
-
-    def to_json(self) -> dict:
-        doc = {k: v for k, v in asdict(self).items() if v is not None}
-        if self.sizes is not None:
-            doc["sizes"] = list(self.sizes)
-        return doc
 
 
 def parse_sizes(text: str) -> tuple[int, ...]:
@@ -334,40 +305,29 @@ def _cmd_coarse_grain(args):
 # report envelope and entry point
 # ---------------------------------------------------------------------------
 
-def _run_config(args) -> RunConfig:
-    getv = lambda key: getattr(args, key, None)
-    command = args.command
-    if command == "certify":
-        command = f"certify-{args.criterion}"
-    sizes = getv("sizes")
-    if isinstance(sizes, str):
-        sizes = parse_sizes(sizes)
-    n = getv("n")
-    if isinstance(n, str):
-        n = None  # thresholds uses a range; recorded via sizes below
-        sizes = parse_sizes(args.n)
-    return RunConfig(
-        command=command,
-        model=getv("model"),
-        sizes=sizes,
-        n=n,
-        m=getv("m"),
-        m2=getv("m2"),
-        R=getv("R"),
-        mode=getv("mode"),
-        bc=getv("bc"),
-        seed=getv("seed"),
-        trials=getv("trials"),
-        suite=getv("suite"),
-        zero_tol=getv("zero_tol"),
-        threads=getv("threads"),
-        output=getv("output"),
-        format=getv("format") or "json",
-        no_timestamp=bool(getv("no_timestamp")),
+def _run_config(args) -> dict:
+    """The parsed arguments that reproduce a run, embedded into every report.
+
+    Leaves out unset options and those that do not change the result;
+    ``certify`` records ``certify-<criterion>``, size ranges are parsed, and
+    the thresholds range ``--n`` is recorded as ``sizes``.
+    """
+    config = {"format": "json"}  # the format of every enveloped report
+    config.update(
+        (key, value)
+        for key, value in vars(args).items()
+        if value is not None and key not in ("criterion", "error_json")
     )
+    if args.command == "certify":
+        config["command"] = f"certify-{args.criterion}"
+    if args.command == "thresholds":
+        config["sizes"] = config.pop("n")
+    if "sizes" in config:
+        config["sizes"] = list(parse_sizes(config["sizes"]))
+    return config
 
 
-def _emit(result, config: RunConfig, args) -> None:
+def _emit(result, config: dict, args) -> None:
     if isinstance(result, str):  # preformatted CSV
         text = result
     else:
@@ -379,7 +339,7 @@ def _emit(result, config: RunConfig, args) -> None:
                 "numpy": numpy.__version__,
                 "scipy": scipy.__version__,
             },
-            "config": config.to_json(),
+            "config": config,
             "result": result,
         }
         if not args.no_timestamp:

@@ -13,7 +13,10 @@ Two one-step procedures:
 
 Both groupings reconstruct the original Hamiltonian exactly, and the
 effective local projectors have the same kernel as the block operators they
-normalize, which is what the sandwich bounds rest on.
+normalize, which is what the sandwich bounds rest on. That kernel comes from
+``spectra.kernel``, the FF recursion every window uses, and is cross-checked
+by ``spectra.spectral_gap``. Blocks stay at or below ``DENSE_MAX_DIM``
+because each effective projector is stored as a dense matrix on the block.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .operators import (
     LocalSum,
     region_terms,
 )
-from .spectra import DENSE_MAX_DIM, positive_eigenspace
+from .spectra import DENSE_MAX_DIM, KERNEL_SVD_BUDGET, _largest_eigenvalue, kernel, spectral_gap
 
 
 class CellRejection(ValueError):
@@ -127,12 +130,22 @@ def _translate(shape: InteractionShape, anchor: Coord) -> tuple[Coord, ...]:
     return tuple((anchor[0] + ox, anchor[1] + oy) for ox, oy in shape.offsets)
 
 
-def _effective_projector(arr: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """The complement of a block operator's kernel, and its least and largest positive eigenvalues."""
-    vals, support = positive_eigenspace(arr)
-    if not vals.size:
+def _effective_projector(block: LocalSum) -> tuple[np.ndarray, float, float]:
+    """The complement of a block operator's kernel, and its least and largest positive eigenvalues.
+
+    The kernel K is ``spectra.kernel(block)``; the least positive eigenvalue
+    is the gap of ``spectral_gap(kernel=K)``, which raises unless K is the
+    block's kernel exactly; the largest is one Lanczos solve.
+    """
+    K = kernel(block)
+    if K is None:
+        raise ValueError(f"block kernel is past the kernel SVD budget {KERNEL_SVD_BUDGET}")
+    H = block.assemble()
+    lam_min = spectral_gap(H, kernel=K).gap
+    if np.isinf(lam_min):
         raise ValueError("block operator is zero; no positive spectrum")
-    return support @ support.conj().T, float(vals[0]), float(vals[-1])
+    lam_max = _largest_eigenvalue(lambda v: H @ v, block.dim, H.dtype)
+    return np.eye(block.dim) - K @ K.conj().T, lam_min, lam_max
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +214,7 @@ def effective_1d(
         )
         for proj, translate in region_terms(cell, region)
     ]
-    arr = LocalSum((d,) * len(region), terms).assemble().toarray()
-    projector, lam_min, lam_max = _effective_projector(arr)
+    projector, lam_min, lam_max = _effective_projector(LocalSum((d,) * len(region), terms))
     p_eff = LocalProjector(2, metaspin_dim, projector)
     return EffectiveModel1D(
         metaspin_dim=metaspin_dim,
@@ -303,8 +315,7 @@ def effective_2d(
                 kind, _ = classify_translate(shape, anchor, R)
                 positions = tuple(map(position.get, translate))
                 terms.append((positions, proj.matrix, _BULK_WEIGHTS[kind]))
-    arr = LocalSum((d,) * len(box_major), terms).assemble().toarray()
-    projector, lam_min, lam_max = _effective_projector(arr)
+    projector, lam_min, lam_max = _effective_projector(LocalSum((d,) * len(box_major), terms))
     h_plaq = LocalProjector(4, metaspin_dim, projector)
     return EffectiveModel2D(
         metaspin_dim=metaspin_dim,

@@ -4,20 +4,20 @@ Every constructor returns a ModelSpec whose frustration-freeness (ground
 energy zero at each length) has been verified numerically up to
 ``ff_check_depth``; rank-based sufficient conditions are treated as
 advisory input validation only. Chains and 2D cells are checked by their
-kernel recursion (``spectra.chain_kernels``, ``spectra.region_kernels``).
+kernel recursion (``spectra.chain_kernels``, ``spectra.kernel``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectra
 from .lattice import InteractionShape, box_region
-from .operators import ChainModel, InteractionCell, LocalProjector, region_hamiltonian
+from .operators import ChainModel, InteractionCell, LocalProjector, region_sum
 
 FF_ZERO_TOL = 1e-10
 MAX_REGENERATIONS = 16
@@ -32,7 +32,6 @@ class ModelSpec:
     payload: ChainModel | InteractionCell
     ff_check_depth: int
     regenerations: int = 0
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ("chain", "cell_2d"):
@@ -47,9 +46,10 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 
 def _box_is_ff(cell: InteractionCell, region) -> bool:
-    K = spectra.region_kernels(cell, region)
+    terms = region_sum(cell, region)
+    K = spectra.kernel(terms)
     if K is None:  # past the kernel SVD budget: diagonalized (boxes are <= DENSE_MAX_DIM)
-        return spectra.spectral_gap(region_hamiltonian(cell, region)).kernel_dim > 0
+        return spectra.spectral_gap(terms.assemble()).kernel_dim > 0
     return K.shape[1] > 0
 
 
@@ -57,7 +57,7 @@ def frustration_free(spec_payload, kind: str, depth: int) -> bool:
     """Numerically check ground energy 0 at every size up to ``depth``.
 
     A window passes when its kernel, built without diagonalization by
-    ``spectra.chain_kernels`` or ``spectra.region_kernels``, is nonempty;
+    ``spectra.chain_kernels`` or ``spectra.kernel``, is nonempty;
     windows past the kernel SVD budget are diagonalized (dense, up to
     ``spectra.DENSE_MAX_DIM``; longer chains raise ValueError).
     Chains are checked at lengths 2..depth, 2D cells on all boxes (a, b)

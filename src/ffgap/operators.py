@@ -267,13 +267,18 @@ def region_terms(cell: InteractionCell, region: SiteRegion):
                 yield proj, translate
 
 
-def region_hamiltonian(cell: InteractionCell, region: SiteRegion) -> sp.csr_matrix:
-    """Sum of all cell terms whose translates fit inside the region."""
+def region_sum(cell: InteractionCell, region: SiteRegion) -> LocalSum:
+    """Sum of all cell terms whose translates fit inside the region, in canonical site order."""
     terms = [
         (tuple(map(region.index, translate)), proj.matrix, 1.0)
         for proj, translate in region_terms(cell, region)
     ]
-    return LocalSum((cell.d,) * len(region), terms).assemble()
+    return LocalSum((cell.d,) * len(region), terms)
+
+
+def region_hamiltonian(cell: InteractionCell, region: SiteRegion) -> sp.csr_matrix:
+    """``region_sum`` assembled to CSR."""
+    return region_sum(cell, region).assemble()
 
 
 # ---------------------------------------------------------------------------

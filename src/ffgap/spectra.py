@@ -1,20 +1,23 @@
 """Spectral gaps, least-eigenvalue margins, window kernels, and boundary gap profiles.
 
 Every gap of a window has a kernel basis built without diagonalization: the
-ground space of a frustration-free window is the intersection of the
-kernels of its local terms, so it grows one site at a time,
-K <- (K (x) C^d) & ker h for each term h whose last site was just added
-(the finitely correlated ground-space structure of Fannes, Nachtergaele and
-Werner). ``chain_kernels`` and ``region_kernels`` are the chain and 2D
-cases of that one recursion. A gap from such a basis is cross-checked
-against it and deflated by it: dense below a size cutoff, one Lanczos
-(ARPACK) solve above it, with an explicit residual check so a silently
-unconverged eigenvalue cannot masquerade as a gap. Without a basis, a gap is
-dense or refused. Operators are sparse matrices or ndarrays, never
-matrix-free, and nothing larger than DENSE_MAX_DIM is densified. Every
-ARPACK start vector is seeded; chain results rerun bit for bit, but the 2D
-scale of ``prop2d_margin`` has been seen to change in its last bits between
-processes (cause not found). No other module diagonalizes or factors a matrix.
+ground space of a frustration-free window is the intersection of the kernels
+of its local terms, so it grows one site at a time, K <- (K (x) C^d) & ker h
+for each term h whose last site was just added (the finitely correlated
+ground-space structure of Fannes, Nachtergaele and Werner), with a buffer of
+low-energy columns that keeps rounding from growing cut after cut.
+``kernel`` runs that one recursion on any sum of projector terms (2D windows
+and coarse-graining blocks), and ``chain_kernels`` is its chain case, every
+length from one pass. A gap from such a basis is cross-checked against it
+and deflated by it: dense below a size cutoff, one Lanczos (ARPACK) solve
+above it, with an explicit residual check so a silently unconverged
+eigenvalue cannot masquerade as a gap. Without a basis, a gap is dense or
+refused. Operators are sparse matrices or ndarrays, never matrix-free, and
+nothing larger than DENSE_MAX_DIM is densified. Every ARPACK start vector is
+seeded; real solves rerun bit for bit, but complex ARPACK (``znaupd``) on a
+degenerate largest eigenvalue, as in the 2D scale of ``prop2d_margin``, has
+been seen to change in its last bits from call to call. No other module
+diagonalizes or factors a matrix.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ from .operators import (
     ChainModel,
     InteractionCell,
     LocalProjector,
+    LocalSum,
     chain_hamiltonian,
     check_dim,
-    region_hamiltonian,
-    region_terms,
+    region_sum,
 )
 
 # size limits (Hilbert-space dimensions; assembly is capped by operators.MAX_ED_DIM)
@@ -46,7 +49,8 @@ KERNEL_SVD_BUDGET = 1 << 30  # largest cost d^m (d k)^2 of one SVD of the kernel
 
 RESIDUAL_RTOL = 1e-8
 MARGIN_RTOL = 1e-9  # an inequality holds when its margin is >= -MARGIN_RTOL * scale
-NULL_SVD_TOL = 1e-8  # singular values of a compressed projector at or below this are null
+NULL_SVD_TOL = 1e-5  # kernel recursion: a column of energy at most NULL_SVD_TOL^2 is kernel
+BUFFER_SVD_TOL = 1e-2  # kernel recursion: columns of energy up to BUFFER_SVD_TOL^2 are kept
 LANCZOS_SEED = 20180123
 _ARPACK_MAXITER = 5000
 DEFLATED_RESTARTS = 200  # Lanczos restarts of a deflated gap before falling back to dense
@@ -197,20 +201,6 @@ def _eigvalsh(arr: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(arr.real if np.iscomplexobj(arr) and not arr.imag.any() else arr)
 
 
-def positive_eigenspace(A, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a dense Hermitian PSD matrix above tol * lambda_max, and their eigenvectors.
-
-    One dense ``eigh``. Eigenvalues below -tol * lambda_max are rejected as
-    not PSD (below -tol when lambda_max <= 0, where nothing is positive).
-    """
-    vals, vecs = np.linalg.eigh(np.asarray(A))
-    scale = float(vals[-1]) if vals.size and vals[-1] > 0.0 else 1.0
-    if vals.size and vals[0] < -tol * scale:
-        raise ValueError(f"operator has negative eigenvalue {vals[0]} (not PSD)")
-    keep = vals > tol * scale
-    return vals[keep], vecs[:, keep]
-
-
 def _dense_report(vals: np.ndarray, zero_tol: float) -> GapReport:
     """The gap report of a full ascending spectrum."""
     dim = len(vals)
@@ -330,7 +320,7 @@ def spectral_gap(op, zero_tol: float = 1e-10, kernel=None) -> GapReport:
     exceeds 1e-8 relative to the spectral scale.
 
     ``kernel`` is an orthonormal basis (dim x k) of the claimed kernel, as
-    from ``chain_kernels`` or ``region_kernels``. It is cross-checked
+    from ``chain_kernels`` or ``kernel``. It is cross-checked
     (raising on a mismatch) and the gap is then dense up to dimension 512,
     and above it the lowest eigenvalue of H + max(1, lambda_max) Pi_K by one
     Lanczos solve ("deflated"), which goes dense after DEFLATED_RESTARTS
@@ -386,63 +376,76 @@ def certified_margin(op, scale: float) -> float:
 # frustration-free kernels, one site at a time
 # ---------------------------------------------------------------------------
 
-def _null_columns(image: np.ndarray) -> np.ndarray:
-    """Orthonormal coefficient columns spanning the numerical null space of ``image``.
+def _cut(K: np.ndarray, s: np.ndarray, d: int, matrix, positions, weight=1.0):
+    """Cut the columns of K by the term w h on the given factor positions.
 
-    ``image`` is a projector applied to orthonormal columns, so its singular
-    values lie in [0, 1] and NULL_SVD_TOL is an absolute threshold.
-    """
-    _, s, vh = np.linalg.svd(image, full_matrices=False)
-    return vh[int((s > NULL_SVD_TOL).sum()):].conj().T
-
-
-def _cut(K: np.ndarray, d: int, matrix: np.ndarray, positions: tuple[int, ...]) -> np.ndarray:
-    """K . null(h K): the span of K annihilated by the term h on the given factor positions.
-
-    ``positions`` are 0-based tensor-factor positions in the factor order of
-    ``matrix`` (they need be neither sorted nor contiguous).
+    The columns of K are the right singular vectors of the square-root
+    energy form of the terms cut so far, and s are its singular values (0 at
+    or below NULL_SVD_TOL). One thin SVD of [diag(s); sqrt(w) h K] gives the
+    new columns and values; the columns whose value exceeds BUFFER_SVD_TOL
+    are dropped. ``positions`` are 0-based tensor-factor positions in the
+    factor order of ``matrix`` (they need be neither sorted nor contiguous).
+    Returns the new (K, s).
     """
     m, k, t = round(math.log(K.shape[0], d)), K.shape[1], len(positions)
-    h = matrix.reshape((d,) * (2 * t))
+    h = (math.sqrt(weight) * matrix).reshape((d,) * (2 * t))
     image = np.tensordot(h, K.reshape((d,) * m + (k,)), axes=(range(t, 2 * t), positions))
-    image = np.moveaxis(image, range(t), positions)
-    return K @ _null_columns(image.reshape(K.shape))
+    rows = np.moveaxis(image, range(t), positions).reshape(K.shape)
+    if s.any():
+        rows = np.vstack([np.diag(s)[s > 0], rows])
+    _, sv, vh = np.linalg.svd(rows, full_matrices=False)
+    keep = sv <= BUFFER_SVD_TOL
+    return K @ vh[keep].conj().T, np.where(sv[keep] > NULL_SVD_TOL, sv[keep], 0.0)
+
+
+def _null(K: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The kernel columns of a recursion state (those whose singular value is 0)."""
+    return K[:, s == 0] if s.any() else K
 
 
 def _grow(d: int, site_cuts):
-    """Yield the kernel of a window after each added site, in canonical site order.
+    """Yield the recursion state (K, s) of a window after each added site, in canonical site order.
 
-    Each site tensors the kernel with C^d, K <- K (x) C^d, then cuts it by
-    the terms of ``site_cuts[i]`` ((matrix, positions) pairs), the terms
-    whose last site is site i. Stops before the first site whose SVD cost
-    d^m (d k)^2 exceeds KERNEL_SVD_BUDGET. The kernel is real until a
-    complex term cuts it.
+    Each site tensors the columns with C^d, K <- K (x) C^d, then cuts them by
+    the terms of ``site_cuts[i]`` ((matrix, positions, weight) triples), the
+    terms whose last site is site i. Besides the kernel, the columns of
+    singular value up to BUFFER_SVD_TOL (energy up to its square) are kept:
+    dropping such a column as soon as a term separates it amplifies the
+    rounding error of the kernel columns by the inverse of its value, cut
+    after cut, which can lose whole kernels of nearly gapless 2D windows.
+    Stops before the first site whose SVD cost d^m (d k)^2 exceeds
+    KERNEL_SVD_BUDGET. The columns are real until a complex term cuts them.
     """
-    K = np.ones((1, 1))
+    K, s = np.ones((1, 1)), np.zeros(1)
     for cuts in site_cuts:
         if K.shape[0] * d * (K.shape[1] * d) ** 2 > KERNEL_SVD_BUDGET:
             return
-        K = np.kron(K, np.eye(d))
-        for matrix, positions in cuts:
-            K = _cut(K, d, matrix, positions)
-        yield K
+        K, s = np.kron(K, np.eye(d)), np.repeat(s, d)
+        for matrix, positions, weight in cuts:
+            K, s = _cut(K, s, d, matrix, positions, weight)
+        yield K, s
 
 
-def _open_kernels(model: ChainModel, n: int):
-    """Yield the kernels of P_L plus the bonds on lengths 1..n (P_R left out).
+def _open_states(model: ChainModel, n: int):
+    """Yield the recursion states of P_L plus the bonds on lengths 1..n (P_R left out).
 
     P_L is dropped for periodic chains.
     """
-    first = [] if model.bc != "open" or model.P_L.is_zero else [(model.P_L.matrix, (0,))]
-    return _grow(model.d, [first] + [[(model.P.matrix, (i - 1, i))] for i in range(1, n)])
+    first = [] if model.bc != "open" or model.P_L.is_zero else [(model.P_L.matrix, (0,), 1.0)]
+    return _grow(model.d, [first] + [[(model.P.matrix, (i - 1, i), 1.0)] for i in range(1, n)])
 
 
-def _close(model: ChainModel, K: np.ndarray, m: int) -> np.ndarray:
-    """Cut an open-chain kernel of length m by P_R (open) or the wrap bond (periodic)."""
-    if model.bc == "periodic":
-        # P on the factor order (site m, site 1)
-        return K if m == 1 else _cut(K, model.d, model.P.matrix, (m - 1, 0))
-    return K if model.P_R.is_zero else _cut(K, model.d, model.P_R.matrix, (m - 1,))
+def _closed(model: ChainModel, states) -> list[np.ndarray]:
+    """The kernels of the m-site chains from their open states, cut by P_R or the wrap bond."""
+    kernels = []
+    for m, (K, s) in enumerate(states, start=1):
+        if model.bc == "periodic" and m > 1:
+            # P on the factor order (site m, site 1)
+            K, s = _cut(K, s, model.d, model.P.matrix, (m - 1, 0))
+        elif model.bc == "open" and not model.P_R.is_zero:
+            K, s = _cut(K, s, model.d, model.P_R.matrix, (m - 1,))
+        kernels.append(_null(K, s))
+    return kernels
 
 
 def chain_kernels(model: ChainModel, n: int) -> list[np.ndarray]:
@@ -454,24 +457,33 @@ def chain_kernels(model: ChainModel, n: int) -> list[np.ndarray]:
     (d^m, dim K_m) array. The list stops before the first length past
     KERNEL_SVD_BUDGET, so it can be shorter than n.
     """
-    return [_close(model, K, m) for m, K in enumerate(_open_kernels(model, n), start=1)]
+    return _closed(model, _open_states(model, n))
 
 
-def region_kernels(cell: InteractionCell, region: SiteRegion) -> np.ndarray | None:
-    """Orthonormal kernel basis (d^|region|, dim K) of a cell's region Hamiltonian.
+def kernel(op: LocalSum) -> np.ndarray | None:
+    """Orthonormal kernel basis (op.dim, dim K) of a weighted sum of projector terms.
 
-    Built without diagonalization by ``_grow``, each term translate cutting
-    the kernel at its last site in the canonical order. None when the
-    recursion passes KERNEL_SVD_BUDGET.
+    With weights >= 0 the kernel is the intersection of the terms' kernels,
+    so ``_grow`` builds it without diagonalization, each term cutting it at
+    its last factor; zero-weight terms are skipped. A column is kernel when
+    its energy is at most NULL_SVD_TOL^2 = 1e-10, the kernel threshold of a
+    unit-scale ``spectral_gap``. Every block must be a projector, so that
+    the thresholds are absolute. Raises ValueError on unequal factor
+    dimensions or a negative weight. None when the recursion passes
+    KERNEL_SVD_BUDGET.
     """
-    site_cuts = [[] for _ in region.sites]
-    for proj, translate in region_terms(cell, region):
-        positions = tuple(region.index(site) for site in translate)
-        site_cuts[max(positions)].append((proj.matrix, positions))
-    K, added = None, 0
-    for added, K in enumerate(_grow(cell.d, site_cuts), start=1):
+    if len(set(op.dims)) != 1:
+        raise ValueError(f"the kernel recursion needs equal factor dimensions, got {op.dims}")
+    site_cuts = [[] for _ in op.dims]
+    for positions, block, weight in op.terms:
+        if weight < 0:
+            raise ValueError(f"the kernel recursion needs weights >= 0, got {weight}")
+        if weight > 0:
+            site_cuts[max(positions)].append((block, positions, weight))
+    state, added = None, 0
+    for added, state in enumerate(_grow(op.dims[0], site_cuts), start=1):
         pass
-    return K if added == len(region) else None
+    return _null(*state) if added == len(op.dims) else None
 
 
 def _window_gap(dim: int, kernel, assemble, zero_tol: float = 1e-10) -> GapReport:
@@ -505,7 +517,7 @@ def chain_gap(
 
 
 def region_gap(cell: InteractionCell, region: SiteRegion) -> GapReport:
-    """spectral_gap of a cell's region Hamiltonian from ``region_kernels``.
+    """spectral_gap of a cell's region Hamiltonian from ``kernel``.
 
     Past the kernel SVD budget it is dense up to DENSE_MAX_DIM. Raises
     ValueError above MAX_ED_DIM, or above the dense cutoff without a kernel
@@ -513,8 +525,8 @@ def region_gap(cell: InteractionCell, region: SiteRegion) -> GapReport:
     """
     dim = cell.d ** len(region)
     check_dim(dim)
-    kernel = region_kernels(cell, region)
-    return _window_gap(dim, kernel, lambda: region_hamiltonian(cell, region))
+    terms = region_sum(cell, region)
+    return _window_gap(dim, kernel(terms), terms.assemble)
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +557,10 @@ def gap_profile(model: ChainModel, n: int, zero_tol: float = 1e-10) -> GapProfil
             chain_gap(chain, length, zero_tol, kernels).gap for length in range(2, n + 1)
         )
 
-    bulk_kernels = list(_open_kernels(bulk_model, n))
-    bulk_list = gaps(bulk_model, bulk_kernels)
-    left = bulk_list if model.P_L.is_zero else gaps(left_model, list(_open_kernels(left_model, n)))
-    if model.P_R.is_zero:
-        right = bulk_list
-    else:
-        right_kernels = [_close(right_model, K, m) for m, K in enumerate(bulk_kernels, start=1)]
-        right = gaps(right_model, right_kernels)
+    bulk_states = list(_open_states(bulk_model, n))
+    bulk_list = gaps(bulk_model, _closed(bulk_model, bulk_states))
+    left = bulk_list if model.P_L.is_zero else gaps(left_model, chain_kernels(left_model, n))
+    right = bulk_list if model.P_R.is_zero else gaps(right_model, _closed(right_model, bulk_states))
     return GapProfile(
         n=n,
         bulk=bulk_list[-1],

@@ -20,7 +20,7 @@ from ffgap.cli import (
     resolve_model,
 )
 from ffgap.coefficients import threshold_1d
-from ffgap.models import save
+from ffgap.models import random_cell_2d, save
 
 
 def run(capsys, *argv):
@@ -271,6 +271,16 @@ class TestCoarseGrainCommand:
         assert result["C1"] == pytest.approx(0.25)
         assert result["C2"] == pytest.approx(4.0)
 
+    def test_config_records_two_d(self, capsys):
+        argv = ("--no-timestamp", "coarse-grain", "--model", "commuting2d", "--R", "1")
+        _, two_d = run_json(capsys, *argv, "--two-d")
+        _, quasi1d = run_json(capsys, *argv, "--m2", "1")
+        assert two_d["config"] == {
+            "command": "coarse-grain", "model": "commuting2d", "R": 1, "two_d": True,
+            "format": "json", "no_timestamp": True,
+        }
+        assert quasi1d["config"]["two_d"] is False
+
     def test_quasi1d_needs_m2(self, capsys):
         code, out = run(
             capsys, "coarse-grain", "--model", "commuting2d", "--R", "1"
@@ -312,10 +322,16 @@ class TestReproducibility:
             ("certify", "gm", "--model", "singlet", "--n", "12", "--m", "26"),  # deflated at 2^12
             ("certify", "thm1", "--model", "aklt", "--n", "8"),  # real deflated Lanczos at 3^8
             ("verify", "--seed", "0", "--trials", "1"),  # rewrite-margin Lanczos
+            # complex coarse-graining block: kernel, gap and Lanczos lambda_max
+            ("coarse-grain", "--model", "{cell_file}", "--R", "1", "--two-d"),
         ],
-        ids=["deflated_gap", "real_deflated_gap", "rewrite_margin"],
+        ids=["deflated_gap", "real_deflated_gap", "rewrite_margin", "complex_coarse_grain"],
     )
-    def test_byte_identical_across_processes(self, argv):
+    def test_byte_identical_across_processes(self, argv, tmp_path):
+        if "{cell_file}" in argv:
+            cell_file = tmp_path / "cell.json"
+            save(random_cell_2d(2, 2, 0), cell_file)
+            argv = [str(cell_file) if arg == "{cell_file}" else arg for arg in argv]
         src = str(Path(ffgap.__file__).resolve().parents[1])
         outputs = []
         for hash_seed in ("1", "2"):

@@ -16,6 +16,7 @@ from ffgap.coarse_grain import (
     plaquette_model_hamiltonian,
 )
 from ffgap.lattice import InteractionShape, box_region, rhomboid_sites
+from ffgap.models import commuting_cell_2d, random_cell_2d
 from ffgap.operators import (
     InteractionCell,
     LocalProjector,
@@ -40,6 +41,77 @@ def pair_cell() -> InteractionCell:
     proj[0, 0] = 1.0
     shape = InteractionShape.chain_pair()
     return InteractionCell(d=2, terms=((shape, LocalProjector(2, 2, proj)),), R=2)
+
+
+def support(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: eigenvalues of a PSD block above 1e-10 lambda_max and their eigenvectors, by eigh."""
+    vals, vecs = np.linalg.eigh(block)
+    keep = vals > 1e-10 * vals[-1]
+    return vals[keep], vecs[:, keep]
+
+
+# cells with the same single-site projectors on every site: their blocks are
+# sums over sites, invariant under any reordering of the factors, so each
+# block is its window's Hamiltonian times the bulk weight of a site
+REFERENCE_CELLS = {
+    "commuting": lambda: commuting_cell_2d().payload,
+    "random_d2": lambda: random_cell_2d(2, 2, 0).payload,
+    "random_d3": lambda: random_cell_2d(3, 2, 0).payload,
+}
+REFERENCE_CASES = [
+    (name, m2) for name in REFERENCE_CELLS for m2 in (1, 2) + ((5,) if name != "random_d3" else ())
+]
+
+
+@pytest.fixture(scope="module")
+def reference_cells():
+    return {name: make() for name, make in REFERENCE_CELLS.items()}
+
+
+def assert_matches_reference(projector, lam_min, lam_max, block):
+    vals, vecs = support(block)
+    assert lam_min == pytest.approx(vals[0], rel=1e-12)
+    assert lam_max == pytest.approx(vals[-1], rel=1e-12)
+    assert np.abs(projector - vecs @ vecs.conj().T).max() <= 1e-10
+
+
+class TestAgainstDenseReference:
+    """Kernel recursion, cross-checked gap and Lanczos against one dense eigh of the block."""
+
+    @pytest.mark.parametrize("name, m2", REFERENCE_CASES)  # 2^10 at m2 = 5: a deflated gap
+    def test_effective_1d(self, reference_cells, name, m2):
+        cell = reference_cells[name]
+        eff = effective_1d(cell, m2=m2, R=1)
+        block = 0.5 * region_hamiltonian(cell, box_region(2, m2)).toarray()
+        assert_matches_reference(eff.P_eff.matrix, eff.lambda_min, eff.lambda_max, block)
+
+    @pytest.mark.parametrize("name", REFERENCE_CELLS)
+    def test_effective_2d(self, reference_cells, name):
+        cell = reference_cells[name]
+        eff = effective_2d(cell, R=1)
+        block = 0.25 * region_hamiltonian(cell, box_region(2, 2)).toarray()
+        assert_matches_reference(eff.h_plaquette.matrix, eff.lambda_min, eff.lambda_max, block)
+
+    def test_zero_block_refused(self):
+        zero = InteractionCell(
+            d=2, terms=((InteractionShape.single_site(), LocalProjector.zero(1, 2)),), R=1
+        )
+        with pytest.raises(ValueError, match="no positive spectrum"):
+            effective_1d(zero, m2=1, R=1)
+        with pytest.raises(ValueError, match="no positive spectrum"):
+            effective_2d(zero, R=1)
+
+    @pytest.mark.parametrize("name", ["random_d2", "random_d3"])
+    def test_constants_repeat_bit_for_bit(self, reference_cells, name):
+        # complex blocks: the Lanczos lambda_max must not drift between calls
+        cell = reference_cells[name]
+        m2 = 5 if cell.d == 2 else 2
+        first, second = effective_1d(cell, m2=m2, R=1), effective_1d(cell, m2=m2, R=1)
+        assert (first.lambda_min, first.lambda_max) == (second.lambda_min, second.lambda_max)
+        assert np.array_equal(first.P_eff.matrix, second.P_eff.matrix)
+        first, second = effective_2d(cell, R=1), effective_2d(cell, R=1)
+        assert (first.lambda_min, first.lambda_max) == (second.lambda_min, second.lambda_max)
+        assert np.array_equal(first.h_plaquette.matrix, second.h_plaquette.matrix)
 
 
 class TestInflateRange:

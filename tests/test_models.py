@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from ffgap import spectra
 from ffgap.models import (
     ModelSpec,
     aklt,
@@ -21,6 +20,7 @@ from ffgap.models import (
 from ffgap.operators import (
     ChainModel,
     LocalProjector,
+    LocalSum,
     chain_hamiltonian,
     region_hamiltonian,
 )
@@ -76,8 +76,7 @@ class TestFrustrationFree:
         def refuse(*args, **kwargs):
             raise AssertionError("assembled a window within the kernel SVD budget")
 
-        monkeypatch.setattr(spectra, "chain_hamiltonian", refuse)
-        monkeypatch.setattr(spectra, "region_hamiltonian", refuse)
+        monkeypatch.setattr(LocalSum, "assemble", refuse)
         assert aklt(ff_check_depth=10).ff_check_depth == 10
         assert random_ff(2, 1, 0, seed=5, ff_check_depth=10).regenerations == 0
         assert frustration_free(random_ff(3, 1, 1, 108, ff_check_depth=4).payload, "chain", 7)

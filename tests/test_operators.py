@@ -16,8 +16,8 @@ from ffgap.operators import (
     enlarged_ring,
     q_and_f,
     region_hamiltonian,
+    region_sum,
 )
-from ffgap.spectra import positive_eigenspace
 
 RNG = np.random.default_rng(8451)
 
@@ -106,23 +106,6 @@ class TestEmbed:
             local_sum.apply_term(1, v)
 
 
-class TestProjectorComplementKernel:
-    def test_projects_onto_support(self):
-        p = random_projector(8, 3)
-        h = 2.0 * p  # PSD with kernel = complement of range(p)
-        _, support = positive_eigenspace(h)
-        assert np.allclose(support @ support.conj().T, p, atol=1e-10)
-
-    def test_zero_operator(self):
-        vals, support = positive_eigenspace(np.zeros((4, 4)))
-        assert vals.size == 0
-        assert np.allclose(support @ support.conj().T, 0.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            positive_eigenspace(np.diag([1.0, -0.5]))
-
-
 def on_sites(local: np.ndarray, first: int, k: int, d: int, m: int) -> np.ndarray:
     """``local`` on sites first..first+k-1 (1-based) of an m-site chain, by np.kron."""
     return np.kron(np.kron(np.eye(d ** (first - 1)), local), np.eye(d ** (m - first - k + 1)))
@@ -173,6 +156,18 @@ class TestRegionHamiltonian:
         H2 = region_hamiltonian(cell, box_region(2, 1)).toarray()
         # only one horizontal pair fits in a 2x1 box
         assert np.allclose(H2, proj, atol=1e-14)
+
+    def test_region_sum_places_translates_in_site_order(self):
+        pair = InteractionShape.chain_pair()
+        proj = random_projector(4, 1)
+        cell = InteractionCell(d=2, terms=((pair, LocalProjector(2, 2, proj)),), R=2)
+        region = box_region(3, 2)
+        terms = region_sum(cell, region)
+        assert terms.dims == (2,) * 6
+        assert [positions for positions, _, _ in terms.terms] == [
+            (region.index((x, y)), region.index((x + 1, y))) for x in (1, 2) for y in (1, 2)
+        ]
+        assert (terms.assemble() != region_hamiltonian(cell, region)).nnz == 0
 
     def test_box_above_the_cap_refused(self, commuting_cell_spec):
         with pytest.raises(ValueError, match="diagonalization cap 65536"):
