@@ -489,7 +489,7 @@ def rewrite_margin(
         return rewrite_difference(ring, coeffs.c, v)
 
     scale = max(1.0, _largest_eigenvalue(rhs_matvec, dim, ring.dtype))
-    return _least_eigenvalue(difference, dim, ring.dtype, scale, tol=eigsh_tol), scale
+    return _least_eigenvalue(difference, dim, ring.dtype, scale, tol=eigsh_tol)[0], scale
 
 
 def window_gap_margins(

@@ -9,15 +9,18 @@ low-energy columns that keeps rounding from growing cut after cut.
 ``kernel`` runs that one recursion on any sum of projector terms (2D windows
 and coarse-graining blocks), and ``chain_kernels`` is its chain case, every
 length from one pass. A gap from such a basis is cross-checked against it
-and deflated by it: dense below a size cutoff, one Lanczos (ARPACK) solve
-above it, with an explicit residual check so a silently unconverged
-eigenvalue cannot masquerade as a gap. Without a basis, a gap is dense or
-refused. Operators are sparse matrices or ndarrays, never matrix-free, and
-nothing larger than DENSE_MAX_DIM is densified. Every ARPACK start vector is
-seeded; real solves rerun bit for bit, but complex ARPACK (``znaupd``) on a
-degenerate largest eigenvalue, as in the 2D scale of ``prop2d_margin``, has
-been seen to change in its last bits from call to call. No other module
-diagonalizes or factors a matrix.
+and deflated by it: dense below a size cutoff, above it the least eigenvalue
+of H + s Pi_K by the shifted solve of ``_least_eigenvalue``, with an
+explicit residual check so a silently unconverged eigenvalue cannot
+masquerade as a gap. Without a basis, a gap is dense or refused. Operators
+are sparse matrices or ndarrays, never matrix-free, and nothing larger than
+DENSE_MAX_DIM is densified. ``_eigsh`` is the one ARPACK call: seeded, on one
+BLAS thread, stopped at LANCZOS_RTOL for a gap and its scale and at machine
+precision where the result feeds a margin or certificate constants. Real
+solves rerun bit for bit, but complex ARPACK (``znaupd``) on a degenerate
+largest eigenvalue, as in the 2D scale of ``prop2d_margin``, has been seen
+to change in its last bits from call to call. No other module diagonalizes
+or factors a matrix.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ KERNEL_DENSE_CUTOFF = 512  # spectral_gap with a kernel basis: dense up to here,
 KERNEL_SVD_BUDGET = 1 << 30  # largest cost d^m (d k)^2 of one SVD of the kernel recursion
 
 RESIDUAL_RTOL = 1e-8
+LANCZOS_RTOL = 1e-12  # ARPACK stopping tolerance of a deflated gap and its scale
 MARGIN_RTOL = 1e-9  # an inequality holds when its margin is >= -MARGIN_RTOL * scale
 NULL_SVD_TOL = 1e-5  # kernel recursion: a column of energy at most NULL_SVD_TOL^2 is kernel
 BUFFER_SVD_TOL = 1e-2  # kernel recursion: columns of energy up to BUFFER_SVD_TOL^2 are kept
@@ -62,9 +66,10 @@ class GapReport:
 
     ``gap`` is the smallest eigenvalue above the kernel threshold
     zero_tol * max(1, lambda_max), or +inf when no eigenvalue exceeds it
-    (zero operator). ``residual`` is the relative eigenpair residual of the
-    gap eigenvalue (0 for dense computations). ``method`` is "dense" or
-    "deflated" (Lanczos on H + s Pi_K).
+    (zero operator). ``residual`` is the eigenpair residual of the gap
+    relative to the scale s = max(1, lambda_max) (0 for dense computations).
+    ``method`` is "dense" or "deflated": the least eigenvalue of H + s Pi_K
+    by the shifted Lanczos solve.
     """
 
     dim: int
@@ -144,52 +149,52 @@ def start_vector(dim: int, dtype=np.float64) -> np.ndarray:
     return v0.astype(np.result_type(dtype, np.float64))
 
 
-def _eigsh(target, **kw):
+def _eigsh(apply, dim, dtype, tol: float, restarts: int = _ARPACK_MAXITER, **kw):
+    """The largest eigenpair of a Hermitian operator by one seeded Lanczos solve on one BLAS thread.
+
+    The one ARPACK call in ffgap; it raises ArpackNoConvergence naming the
+    restart budget.
+    """
+    op = LinearOperator((dim, dim), matvec=apply, dtype=dtype)
     try:
-        return eigsh(target, **kw)
+        with single_thread():
+            return eigsh(
+                op, k=1, which="LA", maxiter=restarts, tol=tol, v0=start_vector(dim, dtype), **kw
+            )
     except ArpackNoConvergence as err:
-        raise RuntimeError(
-            f"Lanczos iteration did not converge within {_ARPACK_MAXITER} restarts: {err}"
+        raise ArpackNoConvergence(
+            f"Lanczos iteration did not converge within {restarts} restarts",
+            err.eigenvalues,
+            err.eigenvectors,
         ) from err
 
 
-def _largest_eigenvalue(apply, dim, dtype) -> float:
-    """The largest eigenvalue of a Hermitian operator, by one Lanczos solve on one BLAS thread."""
-    op = LinearOperator((dim, dim), matvec=apply, dtype=dtype)
-    with single_thread():
-        vals = _eigsh(
-            op,
-            k=1,
-            which="LA",
-            return_eigenvectors=False,
-            maxiter=_ARPACK_MAXITER,
-            v0=start_vector(dim, dtype),
-        )
-    return float(vals[0])
+def _largest_eigenvalue(apply, dim, dtype, tol: float = 0.0) -> float:
+    """The largest eigenvalue of a Hermitian operator, by one Lanczos solve."""
+    return float(_eigsh(apply, dim, dtype, tol, return_eigenvectors=False)[0])
 
 
-def _least_eigenvalue(apply, dim, dtype, scale: float, tol: float = 0.0) -> float:
-    """The least eigenvalue theta of a Hermitian operator, by one Lanczos solve.
+def _least_eigenvalue(
+    apply, dim, dtype, scale: float, tol: float = 0.0, restarts: int = _ARPACK_MAXITER
+) -> tuple[float, float]:
+    """(theta, residual): the least eigenvalue of a Hermitian operator, by one Lanczos solve.
 
     Lanczos runs on shift*I - op with shift = 1.05 * scale + 1, whose target
     eigenvalue shift - theta is the largest ("LA") and far from zero, so the
     relative tolerance is meaningful; a Ritz value can only undershoot it, so
-    theta is never below the true least eigenvalue. One BLAS thread; raises
-    when the eigenpair residual exceeds max(RESIDUAL_RTOL, 10 tol) relative
-    to max(1, scale, |theta|).
+    theta is never below the true least eigenvalue. The residual is the
+    eigenpair residual relative to max(1, scale, |theta|); it raises when
+    that exceeds max(RESIDUAL_RTOL, 10 tol).
     """
     shift = 1.05 * scale + 1.0
-    op = LinearOperator((dim, dim), matvec=lambda v: shift * v - apply(v), dtype=dtype)
-    with single_thread():
-        vals, vecs = _eigsh(
-            op, k=1, which="LA", maxiter=_ARPACK_MAXITER, tol=tol, v0=start_vector(dim, dtype)
-        )
+    vals, vecs = _eigsh(lambda v: shift * v - apply(v), dim, dtype, tol, restarts)
     theta = shift - float(vals[0])
     v = vecs[:, 0]
     residual = float(np.linalg.norm(apply(v) - theta * v)) / max(1.0, scale, abs(theta))
-    if residual > max(RESIDUAL_RTOL, 10.0 * tol):
-        raise RuntimeError(f"margin eigenpair residual {residual:.3e} exceeds tolerance")
-    return theta
+    bound = max(RESIDUAL_RTOL, 10.0 * tol)
+    if residual > bound:
+        raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds {bound:.0e}")
+    return theta, residual
 
 
 # ---------------------------------------------------------------------------
@@ -261,41 +266,28 @@ def _kernel_report(H, kernel, zero_tol) -> GapReport:
         scale = max(1.0, float(ritz[-1]))
         check_kernel(zero_tol * scale)
         return GapReport(dim, float(ritz[0]), dim, math.inf, "deflated", zero_tol, 0.0)
-    lam_max = _largest_eigenvalue(lambda v: H @ v, dim, H.dtype)
+    lam_max = _largest_eigenvalue(lambda v: H @ v, dim, H.dtype, tol=LANCZOS_RTOL)
     scale = max(1.0, lam_max)
     threshold = zero_tol * scale
     check_kernel(threshold)
 
-    K_conj = K.conj()
-
-    def project(v):
-        # einsum's own loops, not BLAS: a threaded OpenBLAS gemv on the tall K
-        # made each Lanczos step up to 100x slower on a 2-core machine
-        return np.einsum("ij,j...->i...", K, np.einsum("ij,i...->j...", K_conj, v))
-
-    def deflated(v):
-        return H @ v + scale * project(v)
-
-    dtype = np.result_type(H.dtype, K.dtype)
-    op = LinearOperator((dim, dim), matvec=deflated, dtype=dtype)
-    v0 = start_vector(dim, dtype)
-    v0 -= project(v0)
+    K_h = K.conj().T
     # A gap inside a tight cluster (nearly gapless chains) can take Lanczos
     # longer than dense ED; such solves get a restart budget, then go dense.
     can_densify = dim <= DENSE_MAX_DIM
-    restarts = DEFLATED_RESTARTS if can_densify else _ARPACK_MAXITER
     try:
-        with single_thread():
-            vals, vecs = eigsh(op, k=1, which="SA", maxiter=restarts, v0=v0)
-    except ArpackError as err:
+        gap, residual = _least_eigenvalue(
+            lambda v: H @ v + scale * (K @ (K_h @ v)),
+            dim,
+            np.result_type(H.dtype, K.dtype),
+            scale,
+            tol=LANCZOS_RTOL,
+            restarts=DEFLATED_RESTARTS if can_densify else _ARPACK_MAXITER,
+        )
+    except ArpackError:
         if can_densify:
             return dense_report()
-        raise RuntimeError(f"deflated Lanczos solve failed: {err}") from err
-    gap = float(vals[0])
-    v = vecs[:, 0]
-    residual = float(np.linalg.norm(deflated(v) - gap * v)) / scale
-    if residual > RESIDUAL_RTOL:
-        raise RuntimeError(f"gap eigenpair residual {residual:.3e} exceeds {RESIDUAL_RTOL}")
+        raise
     if gap <= threshold:
         raise RuntimeError(
             f"H has an eigenvalue {gap:.3e} at or below the kernel threshold {threshold:.3e} "
@@ -320,11 +312,13 @@ def spectral_gap(op, zero_tol: float = 1e-10, kernel=None) -> GapReport:
     exceeds 1e-8 relative to the spectral scale.
 
     ``kernel`` is an orthonormal basis (dim x k) of the claimed kernel, as
-    from ``chain_kernels`` or ``kernel``. It is cross-checked
-    (raising on a mismatch) and the gap is then dense up to dimension 512,
-    and above it the lowest eigenvalue of H + max(1, lambda_max) Pi_K by one
-    Lanczos solve ("deflated"), which goes dense after DEFLATED_RESTARTS
-    restarts up to DENSE_MAX_DIM.
+    from ``chain_kernels`` or ``kernel``. It is cross-checked (raising on a
+    mismatch) and the gap is then dense up to dimension 512. Above it,
+    s = max(1, lambda_max) comes from one Lanczos solve and the gap is the
+    least eigenvalue of H + s Pi_K, Pi_K v = K (K^H v), by the shifted
+    solve of ``_least_eigenvalue`` ("deflated"); both stop at LANCZOS_RTOL.
+    The gap solve goes dense after DEFLATED_RESTARTS restarts up to
+    DENSE_MAX_DIM.
 
     Without ``kernel`` the gap is dense up to DENSE_MAX_DIM, and refused
     above it. ``op`` is a sparse matrix or an ndarray.
@@ -361,7 +355,7 @@ def certified_margin(op, scale: float) -> float:
     if dim > DENSE_MAX_DIM:
         raise ValueError(f"certified margins need a matrix of dim <= {DENSE_MAX_DIM}")
     try:
-        theta = _least_eigenvalue(lambda v: H @ v, dim, H.dtype, scale)
+        theta, _ = _least_eigenvalue(lambda v: H @ v, dim, H.dtype, scale)
         shifted = H.toarray() if sp.issparse(H) else H.copy()
         shifted[np.diag_indices(dim)] -= max(theta, 0.0) - MARGIN_RTOL * scale
         # the Fortran-ordered view is the conjugate, so equally definite, and

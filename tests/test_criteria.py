@@ -371,7 +371,12 @@ class TestProp2dMargin:
 
     def test_failed_cholesky_falls_back_to_dense(self, monkeypatch, random_cells_2d):
         least = spectra._least_eigenvalue
-        monkeypatch.setattr(spectra, "_least_eigenvalue", lambda *a, **kw: least(*a, **kw) + 1.0)
+
+        def shifted(*args, **kwargs):
+            theta, residual = least(*args, **kwargs)
+            return theta + 1.0, residual
+
+        monkeypatch.setattr(spectra, "_least_eigenvalue", shifted)
         failures = []
 
         def record_failure(*args, **kwargs):
@@ -398,7 +403,7 @@ class TestProp2dMargin:
         monkeypatch.setattr(criteria, "certified_margin", record)
         prop2d_margin(commuting_cell_spec.payload, 2, 1, 3)
         (D, scale), = seen
-        theta = spectra._least_eigenvalue(lambda v: D @ v, D.shape[0], D.dtype, scale)
+        theta, _ = spectra._least_eigenvalue(lambda v: D @ v, D.shape[0], D.dtype, scale)
         assert abs(theta) <= 1e-12 * scale
 
     def test_oversized_rhomboid_rejected_before_assembly(self, monkeypatch):

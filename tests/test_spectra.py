@@ -72,6 +72,16 @@ class TestSpectralGap:
         assert first.method == "deflated"
         assert chain_gap(aklt_spec.payload, 7) == first
 
+    def test_two_level_deflated_gap_equals_lambda_max(self):
+        # gap = lambda_max = 1: the deflation shift, from a lambda_max solved to
+        # a tolerance, must not push the kernel's eigenvalues below the gap
+        op = LocalSum((2,) * 10, [((0,), np.diag([0.0, 1.0]), 1.0)])
+        K = kernel(op)
+        assert K.shape == (1024, 512)
+        report = spectral_gap(op.assemble(), kernel=K)
+        assert (report.method, report.kernel_dim) == ("deflated", 512)
+        assert report.gap == pytest.approx(1.0, abs=1e-12)
+
     def test_no_kernel_basis_is_dense_or_refused(self):
         values = np.array([0.0, 0.3] + [1.0] * 200)
         op = LinearOperator((202, 202), matvec=lambda v: values * v, dtype=float)
@@ -452,6 +462,23 @@ class TestKernelCrossCheck:
         with pytest.raises(RuntimeError, match="kernel"):
             spectral_gap(ham, kernel=K[:, 1:])
 
+    @pytest.mark.parametrize(
+        "fixture, m",
+        [("singlet_spec", m) for m in range(6, 11)] + [("aklt_spec", 6), ("aklt_spec", 7)],
+    )
+    def test_every_dropped_kernel_vector_raises_in_the_deflated_solve(
+        self, request, fixture, m, monkeypatch
+    ):
+        # a Ritz value near 0 never meets ARPACK's relative stopping test, so an
+        # unshifted solve could return the gap above a missed kernel vector
+        monkeypatch.setattr(spectra, "KERNEL_DENSE_CUTOFF", 0)
+        model = request.getfixturevalue(fixture).payload
+        ham = chain_hamiltonian(model, m)
+        K = chain_kernels(model, m)[-1]
+        for column in range(K.shape[1]):
+            with pytest.raises(RuntimeError, match="kernel"):
+                spectral_gap(ham, kernel=np.delete(K, column, axis=1))
+
     @pytest.mark.parametrize("method", ["dense", "deflated"])
     def test_added_non_kernel_vector_raises(self, singlet_spec, method, monkeypatch):
         if method == "deflated":
@@ -526,7 +553,7 @@ class TestRealArithmetic:
 
         monkeypatch.setattr(spectra, "eigsh", record)
         assert chain_gap(aklt_spec.payload, 7).method == "deflated"
-        assert (3**7, "SA", np.float64) in seen
+        assert seen == [(3**7, "LA", np.float64)] * 2  # lambda_max, then the shifted gap solve
         assert all(dtype == np.float64 for _, _, dtype in seen)
         # the rewrite margin's scale and margin solves follow the ring's dtype
         seen.clear()
@@ -612,3 +639,19 @@ def test_only_spectra_diagonalizes(module):
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
     assert not names & EIGENSOLVERS, f"{module} references {sorted(names & EIGENSOLVERS)}"
+
+
+def test_spectra_calls_arpack_once():
+    """spectra has one eigsh call (by name or attribute), inside _eigsh."""
+    tree = ast.parse(Path(spectra.__file__).read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "eigsh"
+    ]
+    wrapper = next(
+        f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_eigsh"
+    )
+    assert len(calls) == 1
+    assert any(node is calls[0] for node in ast.walk(wrapper))
