@@ -45,7 +45,7 @@ from .operators import (
     LocalSum,
     region_terms,
 )
-from .spectra import DENSE_MAX_DIM, KERNEL_SVD_BUDGET, _largest_eigenvalue, kernel, spectral_gap
+from .spectra import DENSE_MAX_DIM, _largest_eigenvalue, kernel, spectral_gap
 
 
 class CellRejection(ValueError):
@@ -138,8 +138,6 @@ def _effective_projector(block: LocalSum) -> tuple[np.ndarray, float, float]:
     block's kernel exactly; the largest is one Lanczos solve.
     """
     K = kernel(block)
-    if K is None:
-        raise ValueError(f"block kernel is past the kernel SVD budget {KERNEL_SVD_BUDGET}")
     H = block.assemble()
     lam_min = spectral_gap(H, kernel=K).gap
     if np.isinf(lam_min):

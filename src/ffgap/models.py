@@ -19,7 +19,6 @@ from . import spectra
 from .lattice import InteractionShape, box_region
 from .operators import ChainModel, InteractionCell, LocalProjector, region_sum
 
-FF_ZERO_TOL = 1e-10
 MAX_REGENERATIONS = 16
 
 
@@ -45,34 +44,19 @@ class ModelSpec:
 # frustration-freeness verification
 # ---------------------------------------------------------------------------
 
-def _box_is_ff(cell: InteractionCell, region) -> bool:
-    terms = region_sum(cell, region)
-    K = spectra.kernel(terms)
-    if K is None:  # past the kernel SVD budget: diagonalized (boxes are <= DENSE_MAX_DIM)
-        return spectra.spectral_gap(terms.assemble()).kernel_dim > 0
-    return K.shape[1] > 0
-
-
 def frustration_free(spec_payload, kind: str, depth: int) -> bool:
     """Numerically check ground energy 0 at every size up to ``depth``.
 
     A window passes when its kernel, built without diagonalization by
-    ``spectra.chain_kernels`` or ``spectra.kernel``, is nonempty;
-    windows past the kernel SVD budget are diagonalized (dense, up to
-    ``spectra.DENSE_MAX_DIM``; longer chains raise ValueError).
-    Chains are checked at lengths 2..depth, 2D cells on all boxes (a, b)
-    with a <= b <= depth of dimension at most ``spectra.DENSE_MAX_DIM``.
+    ``spectra.chain_kernels`` or ``spectra.kernel``, is nonempty; a chain
+    past the recursion's cap raises ValueError. Chains are checked at
+    lengths 2..depth, 2D cells on all boxes (a, b) with a <= b <= depth of
+    dimension at most ``spectra.DENSE_MAX_DIM``.
     """
     if kind == "chain":
-        kernels = spectra.chain_kernels(spec_payload, depth)
-        if any(K.shape[1] == 0 for K in kernels[1:]):
-            return False
-        return all(
-            spectra.chain_gap(spec_payload, m, FF_ZERO_TOL, kernels).kernel_dim > 0
-            for m in range(len(kernels) + 1, depth + 1)
-        )
+        return all(K.shape[1] > 0 for K in spectra.chain_kernels(spec_payload, depth)[1:])
     return all(
-        _box_is_ff(spec_payload, box_region(a, b))
+        spectra.kernel(region_sum(spec_payload, box_region(a, b))).shape[1] > 0
         for a in range(1, depth + 1)
         for b in range(a, depth + 1)
         if spec_payload.d ** (a * b) <= spectra.DENSE_MAX_DIM
@@ -293,39 +277,42 @@ def load(path, ff_check_depth: int = 8) -> ModelSpec:
     if not isinstance(doc, dict) or "kind" not in doc or "d" not in doc:
         raise ValueError(f"{path}: model file must be an object with 'kind' and 'd'")
     kind = doc["kind"]
-    d = int(doc["d"])
     name = doc.get("name", str(path))
-    if kind == "chain":
-        for key in ("P", "P_L", "P_R"):
-            if key not in doc:
-                raise ValueError(f"{path}: missing field {key!r}")
-        try:
-            P = LocalProjector(2, d, _matrix_from_json(doc["P"], "P"))
-            P_L = LocalProjector(1, d, _matrix_from_json(doc["P_L"], "P_L"))
-            P_R = LocalProjector(1, d, _matrix_from_json(doc["P_R"], "P_R"))
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
-        payload = ChainModel(d=d, P=P, P_L=P_L, P_R=P_R)
-        depth = min(ff_check_depth, 8 if d <= 3 else 6)
-    elif kind == "cell_2d":
-        if "R" not in doc or "terms" not in doc:
-            raise ValueError(f"{path}: missing field 'R' or 'terms'")
-        terms = []
-        for i, entry in enumerate(doc["terms"]):
-            shape_doc = entry.get("shape", {})
-            offsets = tuple(tuple(int(c) for c in o) for o in shape_doc.get("offsets", ()))
-            shape = InteractionShape(offsets=offsets, kind=shape_doc.get("kind", "generic"))
+    try:
+        d = int(doc["d"])
+        if kind == "chain":
+            for key in ("P", "P_L", "P_R"):
+                if key not in doc:
+                    raise ValueError(f"{path}: missing field {key!r}")
             try:
-                proj = LocalProjector(
-                    len(offsets), d, _matrix_from_json(entry["matrix"], f"terms[{i}]")
-                )
+                P = LocalProjector(2, d, _matrix_from_json(doc["P"], "P"))
+                P_L = LocalProjector(1, d, _matrix_from_json(doc["P_L"], "P_L"))
+                P_R = LocalProjector(1, d, _matrix_from_json(doc["P_R"], "P_R"))
             except ValueError as err:
-                raise ValueError(f"{path}: terms[{i}]: {err}") from None
-            terms.append((shape, proj))
-        payload = InteractionCell(d=d, terms=tuple(terms), R=int(doc["R"]))
-        depth = min(ff_check_depth, 3)
-    else:
-        raise ValueError(f"{path}: unknown kind {kind!r}")
+                raise ValueError(f"{path}: {err}") from None
+            payload = ChainModel(d=d, P=P, P_L=P_L, P_R=P_R)
+            depth = min(ff_check_depth, 8 if d <= 3 else 6)
+        elif kind == "cell_2d":
+            if "R" not in doc or "terms" not in doc:
+                raise ValueError(f"{path}: missing field 'R' or 'terms'")
+            terms = []
+            for i, entry in enumerate(doc["terms"]):
+                shape_doc = entry.get("shape", {})
+                offsets = tuple(tuple(int(c) for c in o) for o in shape_doc.get("offsets", ()))
+                shape = InteractionShape(offsets=offsets, kind=shape_doc.get("kind", "generic"))
+                try:
+                    proj = LocalProjector(
+                        len(offsets), d, _matrix_from_json(entry["matrix"], f"terms[{i}]")
+                    )
+                except ValueError as err:
+                    raise ValueError(f"{path}: terms[{i}]: {err}") from None
+                terms.append((shape, proj))
+            payload = InteractionCell(d=d, terms=tuple(terms), R=int(doc["R"]))
+            depth = min(ff_check_depth, 3)
+        else:
+            raise ValueError(f"{path}: unknown kind {kind!r}")
+    except (AttributeError, KeyError, TypeError) as err:  # a missing or mistyped field
+        raise ValueError(f"{path}: malformed model file ({err})") from None
     spec = ModelSpec(name, kind, payload, depth)
     if not frustration_free(payload, kind, depth):
         raise ValueError(f"{path}: model failed the frustration-freeness check")

@@ -77,10 +77,6 @@ class LocalProjector:
     def is_zero(self) -> bool:
         return not np.any(self.matrix)
 
-    @property
-    def rank(self) -> int:
-        return int(round(float(np.real(np.trace(self.matrix)))))
-
     @classmethod
     def zero(cls, k: int, d: int) -> "LocalProjector":
         return cls(k=k, d=d, matrix=np.zeros((d ** k, d ** k)))

@@ -8,10 +8,13 @@ ground-space structure of Fannes, Nachtergaele and Werner), with a buffer of
 low-energy columns that keeps rounding from growing cut after cut.
 ``kernel`` runs that one recursion on any sum of projector terms (2D windows
 and coarse-graining blocks), and ``chain_kernels`` is its chain case, every
-length from one pass. A gap from such a basis is cross-checked against it
-and deflated by it: dense below a size cutoff, above it the least eigenvalue
-of H + s Pi_K by the shifted solve of ``_least_eigenvalue``, with an
-explicit residual check so a silently unconverged eigenvalue cannot
+length from one pass. Its one cap is the dense cap: it refuses a site whose
+tensored columns would hold more than DENSE_MAX_DIM^2 entries, which no
+window of dimension up to DENSE_MAX_DIM reaches. So every window gap
+(``chain_gap``, ``region_gap``) has a kernel basis; the gap is cross-checked
+against it and deflated by it: dense below a size cutoff, above it the least
+eigenvalue of H + s Pi_K by the shifted solve of ``_least_eigenvalue``, with
+an explicit residual check so a silently unconverged eigenvalue cannot
 masquerade as a gap. Without a basis, a gap is dense or refused. Operators
 are sparse matrices or ndarrays, never matrix-free, and nothing larger than
 DENSE_MAX_DIM is densified. ``_eigsh`` is the one ARPACK call: seeded, on one
@@ -46,9 +49,8 @@ from .operators import (
 )
 
 # size limits (Hilbert-space dimensions; assembly is capped by operators.MAX_ED_DIM)
-DENSE_MAX_DIM = 8192  # the largest matrix ffgap densifies
+DENSE_MAX_DIM = 8192  # the largest matrix ffgap densifies; the kernel recursion's cap
 KERNEL_DENSE_CUTOFF = 512  # spectral_gap with a kernel basis: dense up to here, deflated above
-KERNEL_SVD_BUDGET = 1 << 30  # largest cost d^m (d k)^2 of one SVD of the kernel recursion
 
 RESIDUAL_RTOL = 1e-8
 LANCZOS_RTOL = 1e-12  # ARPACK stopping tolerance of a deflated gap and its scale
@@ -407,13 +409,18 @@ def _grow(d: int, site_cuts):
     dropping such a column as soon as a term separates it amplifies the
     rounding error of the kernel columns by the inverse of its value, cut
     after cut, which can lose whole kernels of nearly gapless 2D windows.
-    Stops before the first site whose SVD cost d^m (d k)^2 exceeds
-    KERNEL_SVD_BUDGET. The columns are real until a complex term cuts them.
+    Raises ValueError, before tensoring, at a site whose columns K (x) C^d
+    would hold more than DENSE_MAX_DIM^2 entries (d k <= d^m, so no window
+    of dimension up to DENSE_MAX_DIM reaches it). The columns are real until
+    a complex term cuts them.
     """
     K, s = np.ones((1, 1)), np.zeros(1)
     for cuts in site_cuts:
-        if K.shape[0] * d * (K.shape[1] * d) ** 2 > KERNEL_SVD_BUDGET:
-            return
+        if K.shape[0] * d * K.shape[1] * d > DENSE_MAX_DIM**2:
+            raise ValueError(
+                f"the kernel recursion's {K.shape[0] * d} x {K.shape[1] * d} columns exceed "
+                f"the dense cap of DENSE_MAX_DIM^2 = {DENSE_MAX_DIM**2} entries"
+            )
         K, s = np.kron(K, np.eye(d)), np.repeat(s, d)
         for matrix, positions, weight in cuts:
             K, s = _cut(K, s, d, matrix, positions, weight)
@@ -448,13 +455,13 @@ def chain_kernels(model: ChainModel, n: int) -> list[np.ndarray]:
     Built without diagonalization (``_grow``): K_1 = ker P_L (C^d when P_L
     is zero), K_m = (K_{m-1} (x) C^d) & ker P_{m-1,m}, then one more cut by
     P_R or, for periodic chains, by the wrap-around bond. Entry m-1 is a
-    (d^m, dim K_m) array. The list stops before the first length past
-    KERNEL_SVD_BUDGET, so it can be shorter than n.
+    (d^m, dim K_m) array; there are n entries, or the recursion's cap
+    (``_grow``) raises ValueError.
     """
     return _closed(model, _open_states(model, n))
 
 
-def kernel(op: LocalSum) -> np.ndarray | None:
+def kernel(op: LocalSum) -> np.ndarray:
     """Orthonormal kernel basis (op.dim, dim K) of a weighted sum of projector terms.
 
     With weights >= 0 the kernel is the intersection of the terms' kernels,
@@ -463,8 +470,7 @@ def kernel(op: LocalSum) -> np.ndarray | None:
     its energy is at most NULL_SVD_TOL^2 = 1e-10, the kernel threshold of a
     unit-scale ``spectral_gap``. Every block must be a projector, so that
     the thresholds are absolute. Raises ValueError on unequal factor
-    dimensions or a negative weight. None when the recursion passes
-    KERNEL_SVD_BUDGET.
+    dimensions, a negative weight, or past the recursion's cap (``_grow``).
     """
     if len(set(op.dims)) != 1:
         raise ValueError(f"the kernel recursion needs equal factor dimensions, got {op.dims}")
@@ -474,23 +480,9 @@ def kernel(op: LocalSum) -> np.ndarray | None:
             raise ValueError(f"the kernel recursion needs weights >= 0, got {weight}")
         if weight > 0:
             site_cuts[max(positions)].append((block, positions, weight))
-    state, added = None, 0
-    for added, state in enumerate(_grow(op.dims[0], site_cuts), start=1):
+    for state in _grow(op.dims[0], site_cuts):
         pass
-    return _null(*state) if added == len(op.dims) else None
-
-
-def _window_gap(dim: int, kernel, assemble, zero_tol: float = 1e-10) -> GapReport:
-    """spectral_gap of a window from its kernel basis; dense when there is none.
-
-    Without one it refuses above DENSE_MAX_DIM before assembling.
-    """
-    if kernel is None and dim > DENSE_MAX_DIM:
-        raise ValueError(
-            f"window dimension {dim} is past the kernel SVD budget and above the "
-            f"dense cutoff {DENSE_MAX_DIM}"
-        )
-    return spectral_gap(assemble(), zero_tol=zero_tol, kernel=kernel)
+    return _null(*state)
 
 
 def chain_gap(
@@ -498,29 +490,26 @@ def chain_gap(
 ) -> GapReport:
     """spectral_gap of the m-site chain from its kernel basis.
 
-    ``kernels`` is the output of ``chain_kernels(model, n)`` for some n (built
-    here when omitted). Lengths past the kernel SVD budget are dense up to
-    DENSE_MAX_DIM. Raises ValueError above MAX_ED_DIM, or above the
-    dense cutoff without a kernel basis, before assembling.
+    ``kernels`` is the output of ``chain_kernels(model, n)`` for some n >= m
+    (built here when omitted). Raises ValueError above MAX_ED_DIM, or past
+    the kernel recursion's cap, before assembling.
     """
     check_dim(model.d**m)
     if kernels is None:
         kernels = chain_kernels(model, m)
-    kernel = kernels[m - 1] if m <= len(kernels) else None
-    return _window_gap(model.d**m, kernel, lambda: chain_hamiltonian(model, m), zero_tol)
+    return spectral_gap(chain_hamiltonian(model, m), zero_tol=zero_tol, kernel=kernels[m - 1])
 
 
 def region_gap(cell: InteractionCell, region: SiteRegion) -> GapReport:
     """spectral_gap of a cell's region Hamiltonian from ``kernel``.
 
-    Past the kernel SVD budget it is dense up to DENSE_MAX_DIM. Raises
-    ValueError above MAX_ED_DIM, or above the dense cutoff without a kernel
-    basis, before assembling.
+    Raises ValueError above MAX_ED_DIM, or past the kernel recursion's cap,
+    before assembling.
     """
-    dim = cell.d ** len(region)
-    check_dim(dim)
+    check_dim(cell.d ** len(region))
     terms = region_sum(cell, region)
-    return _window_gap(dim, kernel(terms), terms.assemble)
+    K = kernel(terms)
+    return spectral_gap(terms.assemble(), kernel=K)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ class TestFrustrationFree:
 
     def test_chain_check_needs_no_diagonalization(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("assembled a window within the kernel SVD budget")
+            raise AssertionError("assembled a window for a frustration-freeness check")
 
         monkeypatch.setattr(LocalSum, "assemble", refuse)
         assert aklt(ff_check_depth=10).ff_check_depth == 10
@@ -244,6 +244,23 @@ class TestModelFiles:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "cell_2d", "d": 2, "R": 1, "terms": [1]},
+            {"kind": "chain", "d": None, "P": [], "P_L": [], "P_R": []},
+            {"kind": "cell_2d", "d": 2, "R": 1,
+             "terms": [{"shape": {"offsets": [5]}, "matrix": [[[1.0, 0.0]]]}]},
+            {"kind": "cell_2d", "d": 2, "R": 1, "terms": [{"shape": {"offsets": [[0, 0]]}}]},
+        ],
+        ids=["term_not_an_object", "null_dimension", "offset_not_a_pair", "term_without_matrix"],
+    )
+    def test_malformed_fields_raise_value_error(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="bad.json"):
             load(path)
 
     def test_frustrated_model_file_rejected(self, tmp_path):

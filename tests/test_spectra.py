@@ -18,7 +18,7 @@ from ffgap import spectra
 from ffgap.coefficients import SQRT6, coeffs_1d
 from ffgap.criteria import rewrite_margin
 from ffgap.lattice import InteractionShape, box_region, rhomboid_sites
-from ffgap.models import ModelSpec, commuting_cell_2d, frustration_free, random_cell_2d, random_ff
+from ffgap.models import ModelSpec, commuting_cell_2d, random_cell_2d, random_ff
 from ffgap.operators import (
     ChainModel,
     InteractionCell,
@@ -30,7 +30,6 @@ from ffgap.operators import (
 )
 from ffgap.spectra import (
     DENSE_MAX_DIM,
-    KERNEL_SVD_BUDGET,
     GapProfile,
     certified_margin,
     chain_gap,
@@ -74,13 +73,15 @@ class TestSpectralGap:
 
     def test_two_level_deflated_gap_equals_lambda_max(self):
         # gap = lambda_max = 1: the deflation shift, from a lambda_max solved to
-        # a tolerance, must not push the kernel's eigenvalues below the gap
-        op = LocalSum((2,) * 10, [((0,), np.diag([0.0, 1.0]), 1.0)])
-        K = kernel(op)
-        assert K.shape == (1024, 512)
-        report = spectral_gap(op.assemble(), kernel=K)
-        assert (report.method, report.kernel_dim) == ("deflated", 512)
-        assert report.gap == pytest.approx(1.0, abs=1e-12)
+        # a tolerance, must not push the kernel's eigenvalues below the gap;
+        # at 2^11 the recursion tensors 1024 x 1024 columns, far below its cap
+        for sites in (10, 11):
+            op = LocalSum((2,) * sites, [((0,), np.diag([0.0, 1.0]), 1.0)])
+            K = kernel(op)
+            assert K.shape == (2**sites, 2 ** (sites - 1))
+            report = spectral_gap(op.assemble(), kernel=K)
+            assert (report.method, report.kernel_dim) == ("deflated", 2 ** (sites - 1))
+            assert report.gap == pytest.approx(1.0, abs=1e-12)
 
     def test_no_kernel_basis_is_dense_or_refused(self):
         values = np.array([0.0, 0.3] + [1.0] * 200)
@@ -249,8 +250,8 @@ class TestChainKernels:
         model = request.getfixturevalue(fixture).payload
         n = int(math.log(ED_REFERENCE_DIM, model.d) + 1e-9)
         for name, chain in families(model).items():
-            kernels = chain_kernels(chain, n)  # shorter than n past the recursion cap
-            for m in range(2, len(kernels) + 1):
+            kernels = chain_kernels(chain, n)
+            for m in range(2, n + 1):
                 K = kernels[m - 1]
                 assert np.allclose(K.conj().T @ K, np.eye(K.shape[1]), atol=1e-12)
                 kernel_dim, gap, scale = ed_kernel_and_gap(spectrum(chain, m))
@@ -267,14 +268,11 @@ class TestChainKernels:
         periodic = replace(aklt_spec.payload, bc="periodic")
         assert [K.shape[1] for K in chain_kernels(periodic, 6)][2:] == [1] * 4
 
-    def test_recursion_stops_past_the_cap(self):
-        # rank-1 d=3 bonds: the open kernel grows about 2.6-fold each step, and
-        # the length-8 SVD would cost 3^8 (3 k)^2 with k = 610 open columns,
-        # at least the 377 closed ones, past KERNEL_SVD_BUDGET
+    def test_rank_one_d3_kernels_grow_by_fibonacci_steps(self):
+        # rank-1 d=3 bonds with rank-1 edges: the closed kernels are every
+        # other Fibonacci number, and none of these lengths reaches the cap
         model = random_ff(3, 1, 1, 108, ff_check_depth=4).payload
-        kernels = chain_kernels(model, 8)
-        assert len(kernels) == 7
-        assert 3**8 * (3 * kernels[-1].shape[1]) ** 2 > KERNEL_SVD_BUDGET
+        assert [K.shape[1] for K in chain_kernels(model, 7)] == [1, 3, 8, 21, 55, 144, 377]
 
     def test_suite_d3_recipe_fits_the_budget(self):
         # random_ff(3, 2, 1, 7) at m = 8: 128 kernel columns, deflated
@@ -306,33 +304,20 @@ class TestChainKernels:
         kernel_dim, gap, _ = ed_kernel_and_gap(spectrum(model, 10))
         assert report.gap == gap == pytest.approx(5.41e-6, rel=1e-3)
 
-
-class TestPastTheBudget:
-    def test_chain_gap_goes_dense(self, monkeypatch, aklt_spec):
-        monkeypatch.setattr(spectra, "KERNEL_SVD_BUDGET", 1000)
-        assert len(chain_kernels(aklt_spec.payload, 6)) < 6
-        report = chain_gap(aklt_spec.payload, 6)
-        assert (report.method, report.kernel_dim) == ("dense", 4)
-        kernel_dim, gap, scale = ed_kernel_and_gap(spectrum(aklt_spec.payload, 6))
-        assert report.gap == pytest.approx(gap, abs=1e-10 * scale)
-        assert frustration_free(aklt_spec.payload, "chain", 6)
-
-    def test_region_gap_goes_dense(self, monkeypatch, commuting_cell_spec):
-        monkeypatch.setattr(spectra, "KERNEL_SVD_BUDGET", 1000)
-        region = box_region(3, 3)
-        assert kernel(region_sum(commuting_cell_spec.payload, region)) is None
-        report = region_gap(commuting_cell_spec.payload, region)
-        assert (report.method, report.kernel_dim, report.gap) == ("dense", 1, pytest.approx(1.0))
-        assert frustration_free(commuting_cell_spec.payload, "cell_2d", 3)
-
-    def test_refused_above_the_dense_cutoff_before_assembly(self, monkeypatch, aklt_spec):
+    def test_refused_past_the_cap_before_assembly(
+        self, monkeypatch, aklt_spec, commuting_cell_spec
+    ):
         def refuse(*args, **kwargs):
             raise AssertionError("a Hamiltonian was assembled")
 
-        monkeypatch.setattr(spectra, "KERNEL_SVD_BUDGET", 1000)
+        # the AKLT recursion tensors 9 x 4 columns into 27 x 12 at length 3
+        monkeypatch.setattr(spectra, "DENSE_MAX_DIM", 16)
         monkeypatch.setattr(spectra, "chain_hamiltonian", refuse)
-        with pytest.raises(ValueError, match="dense cutoff"):
-            chain_gap(aklt_spec.payload, 9)  # 3^9 > DENSE_MAX_DIM
+        with pytest.raises(ValueError, match="exceed the dense cap"):
+            chain_gap(aklt_spec.payload, 9)
+        monkeypatch.setattr(LocalSum, "assemble", refuse)
+        with pytest.raises(ValueError, match="exceed the dense cap"):
+            region_gap(commuting_cell_spec.payload, box_region(3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +569,7 @@ def test_kernel_and_gap_match_dense_ed_on_random_chains(model):
         kernels = chain_kernels(chain, n)
         for m in range(2, n + 1):
             kernel_dim, gap, scale = ed_kernel_and_gap(spectrum(chain, m))
-            if m <= len(kernels):
-                assert kernels[m - 1].shape[1] == kernel_dim, (name, m)
+            assert kernels[m - 1].shape[1] == kernel_dim, (name, m)
             report = chain_gap(chain, m, kernels=kernels)
             assert report.kernel_dim == kernel_dim, (name, m)
             assert report.gap == pytest.approx(gap, abs=1e-10 * scale), (name, m)
@@ -639,6 +623,19 @@ def test_only_spectra_diagonalizes(module):
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
     assert not names & EIGENSOLVERS, f"{module} references {sorted(names & EIGENSOLVERS)}"
+
+
+def test_every_gap_in_ffgap_has_a_kernel_basis():
+    """Every spectral_gap call in src/ffgap passes a kernel basis, by keyword."""
+    calls = [
+        (path.name, node.lineno)
+        for path in sorted(Path(ffgap.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "spectral_gap"
+        and not any(keyword.arg == "kernel" for keyword in node.keywords)
+    ]
+    assert not calls, f"spectral_gap without a kernel basis at {calls}"
 
 
 def test_spectra_calls_arpack_once():
