@@ -72,12 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(p)
     p.add_argument("--sizes", required=True, help="size range, e.g. 4..10 or 4,6,8")
     p.add_argument("--bc", choices=("open", "periodic"), default="open")
-    p.add_argument("--zero-tol", type=float, default=1e-10)
 
     p = sub.add_parser("profile", help="bulk and edge gap profile of a chain model")
     add_model(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--zero-tol", type=float, default=1e-10)
 
     p = sub.add_parser("certify", help="evaluate a finite-size criterion")
     csub = p.add_subparsers(dest="criterion", required=True)
@@ -121,12 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_model(name: str, ff_check_depth: int = 8):
-    """Builtin name, random:<kwargs> recipe, or model-file path -> ModelSpec."""
+def resolve_model(name: str):
+    """Builtin name, random:<kwargs> recipe, or model-file path -> ModelSpec, FF-checked to 8."""
     if name == "aklt":
-        return models.aklt(ff_check_depth)
+        return models.aklt()
     if name in ("singlet", "singlet_chain"):
-        return models.singlet_chain(ff_check_depth)
+        return models.singlet_chain()
     if name == "commuting2d":
         return models.commuting_cell_2d()
     if name.startswith("random:"):
@@ -143,9 +141,8 @@ def resolve_model(name: str, ff_check_depth: int = 8):
             kwargs.get("rank_bulk", 1),
             kwargs.get("rank_boundary", 0),
             kwargs.get("seed", 0),
-            ff_check_depth=ff_check_depth,
         )
-    return models.load(name, ff_check_depth=ff_check_depth)
+    return models.load(name)
 
 
 def _require_kind(spec, kind: str):
@@ -166,16 +163,14 @@ def _cmd_gap(args):
     sizes = parse_sizes(args.sizes)
     check_dim(model.d ** max(sizes))
     kernels = chain_kernels(model, max(sizes))
-    reports = [
-        {"m": m, **asdict(chain_gap(model, m, args.zero_tol, kernels))} for m in sizes
-    ]
+    reports = [{"m": m, **asdict(chain_gap(model, m, kernels))} for m in sizes]
     return {"model": spec.name, "bc": args.bc, "gaps": reports}, EXIT_OK
 
 
 def _cmd_profile(args):
     spec = resolve_model(args.model)
     model = _require_kind(spec, "chain")
-    profile = gap_profile(model, args.n, zero_tol=args.zero_tol)
+    profile = gap_profile(model, args.n)
     return {
         "model": spec.name,
         "n": profile.n,
@@ -201,25 +196,22 @@ def _cmd_certify(args):
         model = _require_kind(spec, "chain")
         zero = LocalProjector.zero(1, model.d)
         bulk_model = ChainModel(model.d, model.P, zero, zero)
-        cert = criteria.certify_periodic(chain_gap(bulk_model, args.n).gap, args.n, args.m)
+        check_dim(model.d ** args.n)
+        length = criteria.periodic_window(args.n, args.m)
+        cert = criteria.certify_periodic(chain_gap(bulk_model, length).gap, args.n, args.m)
     elif args.criterion == "quasi1d":
         spec = resolve_model(args.model)
         cell = _require_kind(spec, "cell_2d")
+        window = criteria.quasi1d_window(args.n)
         eff = effective_1d(cell, args.m2, args.R)
-        gaps = {}
-        for l in range(args.n // 2, args.n + 1):
-            gaps[l] = region_gap(cell, box_region(l * eff.R, args.m2)).gap
+        gaps = {l: region_gap(cell, box_region(l * eff.R, args.m2)).gap for l in window}
         cert = criteria.certify_quasi1d(cell, args.m2, args.R, args.n, gaps, effective=eff)
     elif args.criterion == "2d":
         spec = resolve_model(args.model)
         cell = _require_kind(spec, "cell_2d")
+        pairs = criteria.two_d_window(args.n)
         eff = effective_2d(cell, args.R)
-        gaps = {}
-        window = range(args.n // 2, args.n + 1)
-        for l1 in window:
-            for l2 in window:
-                sites, _ = rhomboid_sites(l1, l2, args.R)
-                gaps[(l1, l2)] = region_gap(cell, sites).gap
+        gaps = {pair: region_gap(cell, rhomboid_sites(*pair, args.R)[0]).gap for pair in pairs}
         cert = criteria.certify_2d(cell, args.R, args.n, gaps, effective=eff)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown criterion {args.criterion!r}")

@@ -32,7 +32,7 @@ from .coefficients import (
     weight_table,
 )
 from .lattice import collar_centers, patch, plaquette_set, rhomboid_sites
-from .models import random_cell_2d, random_ff
+from .models import frustration_free, random_cell_2d, random_ff
 from .operators import (
     ChainModel,
     InteractionCell,
@@ -44,18 +44,19 @@ from .operators import (
 )
 from .spectra import (
     DENSE_MAX_DIM,
+    LANCZOS_RTOL,
     MARGIN_RTOL,
     GapProfile,
     _eigvalsh,
     _largest_eigenvalue,
     _least_eigenvalue,
     certified_margin,
-    chain_gap,
     gap_profile,
 )
 
 SCHEMA_VERSION = 1
 _INTERCHANGE_SAMPLES = 5
+IDENTITY_RTOL = 1e-12  # the suite's operator identities hold to this relative residual
 
 
 @dataclass(frozen=True)
@@ -187,14 +188,20 @@ def certify_thm2(
     )
 
 
-def certify_periodic(gamma_bulk_n: float, n: int, m: int) -> Certificate:
-    """Periodic-chain criterion with prefactor (5/6)(n^2+n)/(n-4)."""
+def periodic_window(n: int, m: int) -> int:
+    """The bulk chain length n whose gap ``certify_periodic`` needs; raises on invalid n, m."""
     if n <= 4:
         raise ValueError(f"periodic criterion needs n >= 5, got {n}")
     if m < 3:
         raise ValueError(f"need m >= 3, got {m}")
     if n > m / 2 - 1:
         raise ValueError(f"need n <= m/2 - 1, got n={n}, m={m}")
+    return n
+
+
+def certify_periodic(gamma_bulk_n: float, n: int, m: int) -> Certificate:
+    """Periodic-chain criterion with prefactor (5/6)(n^2+n)/(n-4)."""
+    periodic_window(n, m)
     prefactor = (5.0 / 6.0) * (n * n + n) / (n - 4)
     threshold = 6.0 / (n * (n + 1))
     return _certificate(
@@ -211,6 +218,13 @@ def certify_periodic(gamma_bulk_n: float, n: int, m: int) -> Certificate:
 # quasi-1D and 2D criteria
 # ---------------------------------------------------------------------------
 
+def quasi1d_window(n: int) -> range:
+    """The strip counts l = floor(n/2)..n whose gaps ``certify_quasi1d`` needs; raises on n < 4."""
+    if n < 4:
+        raise ValueError(f"need n >= 4, got {n}")
+    return range(n // 2, n + 1)
+
+
 def certify_quasi1d(
     cell: InteractionCell,
     m2: int,
@@ -222,13 +236,11 @@ def certify_quasi1d(
     """Strip-geometry criterion from gaps of windows of l strips.
 
     ``gaps`` maps l -> gap of the (l*R) x m2 box Hamiltonian for all l in
-    the window floor(n/2)..n (callers are responsible for inflating R to a
-    divisor of the strip count before computing gaps).
+    the window ``quasi1d_window(n)`` (callers are responsible for inflating
+    R to a divisor of the strip count before computing gaps).
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
+    window = quasi1d_window(n)
     eff = effective if effective is not None else effective_1d(cell, m2, R)
-    window = list(range(n // 2, n + 1))
     missing = [l for l in window if l not in gaps]
     if missing:
         raise ValueError(f"missing gap entries for window sizes {missing}")
@@ -282,6 +294,13 @@ def chiral_exclusion(C: float, R: int, C2: float) -> tuple[int, dict]:
     return n0, table
 
 
+def two_d_window(n: int) -> list[tuple[int, int]]:
+    """The box pairs [n/2, n]^2 whose gaps ``certify_2d`` needs; raises unless n is even >= 2."""
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"n must be an even integer >= 2, got {n}")
+    return list(itertools.product(range(n // 2, n + 1), repeat=2))
+
+
 def certify_2d(
     cell: InteractionCell,
     R: int,
@@ -292,15 +311,12 @@ def certify_2d(
     """Rhomboid-geometry criterion from gaps of windows of l1 x l2 boxes.
 
     ``gaps`` maps (l1, l2) -> gap of the rhomboid Hamiltonian for all
-    integer pairs in the window [n/2, n]^2.
+    integer pairs in the window ``two_d_window(n)``.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be an even integer >= 2, got {n}")
+    pairs = two_d_window(n)
     eff = effective if effective is not None else effective_2d(cell, R)
     wt = weight_table(n)
     cmid = coeffs_2d(n).at(n // 2)
-    window = list(range(n // 2, n + 1))
-    pairs = [(l1, l2) for l1 in window for l2 in window]
     missing = [p for p in pairs if p not in gaps]
     if missing:
         raise ValueError(f"missing gap entries for window pairs {missing}")
@@ -338,7 +354,7 @@ def certify_2d(
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Sizes and tolerances of the inequality suite."""
+    """Sizes of the inequality suite (its tolerances are IDENTITY_RTOL and MARGIN_RTOL)."""
 
     n: int = 4
     x: float = SQRT6
@@ -346,9 +362,6 @@ class SuiteConfig:
     dims_cycle: tuple[int, ...] = (2, 2, 2, 3)
     identity_ms_d2: tuple[int, ...] = (4, 5, 6, 7, 8)
     identity_ms_d3: tuple[int, ...] = (4, 5, 6)
-    identity_rtol: float = 1e-12
-    margin_rtol: float = 1e-9
-    eigsh_tol: float = 1e-12
 
 
 def standard_instance_plan(trials: int, config: SuiteConfig | None = None) -> list[dict]:
@@ -455,13 +468,7 @@ def rewrite_difference(ring: LocalSum, c: tuple[float, ...], v: np.ndarray) -> n
     return out
 
 
-def rewrite_margin(
-    model: ChainModel,
-    m: int,
-    n: int,
-    coeffs: Deformation1D,
-    eigsh_tol: float = 1e-12,
-) -> tuple[float, float]:
+def rewrite_margin(model: ChainModel, m: int, n: int, coeffs: Deformation1D) -> tuple[float, float]:
     """(margin, scale) of the deformed-window rewrite inequality.
 
     The inequality bounds sum_l B_{n,l}^2 by (sum c^2) H + (sum c c') (Q+F);
@@ -470,7 +477,7 @@ def rewrite_margin(
     from spectra's Lanczos routines on matrix-free operators of the m-site
     chain, in the ring's dtype (real for real models): the scale from
     ``_largest_eigenvalue``, the margin from the shifted solve of
-    ``_least_eigenvalue`` at tolerance ``eigsh_tol``, which raises when its
+    ``_least_eigenvalue`` stopped at LANCZOS_RTOL, which raises when its
     eigenpair residual is too large. Each matvec of D
     applies every term once for the term images and once more for the rest
     (``rewrite_difference``), 2(m+1) term applications in all.
@@ -489,7 +496,7 @@ def rewrite_margin(
         return rewrite_difference(ring, coeffs.c, v)
 
     scale = max(1.0, _largest_eigenvalue(rhs_matvec, dim, ring.dtype))
-    return _least_eigenvalue(difference, dim, ring.dtype, scale, tol=eigsh_tol)[0], scale
+    return _least_eigenvalue(difference, dim, ring.dtype, scale, tol=LANCZOS_RTOL)[0], scale
 
 
 def window_gap_margins(
@@ -552,8 +559,7 @@ def verify_chain_instance(
     """All 1D inequality checks for one chain model; see verify_inequality_suite."""
     n = config.n
     record: dict = {}
-    gap0 = chain_gap(model, identity_m)
-    record["ff"] = gap0.kernel_dim >= 1
+    record["ff"] = frustration_free(model, identity_m)
     if not record["ff"]:
         record["failure"] = "ff_precondition"
         record["pass"] = False
@@ -562,16 +568,16 @@ def verify_chain_instance(
 
     identity = hsquared_identity_residual(model, identity_m)
     record["identity_residual"] = identity
-    record["identity_pass"] = identity <= config.identity_rtol
+    record["identity_pass"] = identity <= IDENTITY_RTOL
 
     inter = interchange_residual(model, config.margin_m, n, coeffs, seed)
     record["interchange_residual"] = inter
-    record["interchange_pass"] = inter <= config.identity_rtol
+    record["interchange_pass"] = inter <= IDENTITY_RTOL
 
-    margin, scale = rewrite_margin(model, config.margin_m, n, coeffs, eigsh_tol=config.eigsh_tol)
+    margin, scale = rewrite_margin(model, config.margin_m, n, coeffs)
     record["rewrite_margin"] = margin
     record["rewrite_scale"] = scale
-    record["rewrite_pass"] = margin >= -config.margin_rtol * scale
+    record["rewrite_pass"] = margin >= -MARGIN_RTOL * scale
 
     profile = gap_profile(model, n)
     gamma_bulk = profile.bulk_list[n - 2]
@@ -580,9 +586,7 @@ def verify_chain_instance(
     record["gamma_edge"] = gamma_edge
     windows = window_gap_margins(model, config.margin_m, n, coeffs, gamma_bulk, gamma_edge)
     record["windows"] = windows
-    record["windows_pass"] = all(
-        w["margin"] >= -config.margin_rtol * w["scale"] for w in windows
-    )
+    record["windows_pass"] = all(w["margin"] >= -MARGIN_RTOL * w["scale"] for w in windows)
 
     record["pass"] = (
         record["identity_pass"]
@@ -682,7 +686,12 @@ def verify_inequality_suite(
         "suite": "1d+2d" if include_2d else "1d",
         "seed": seed,
         "trials": trials,
-        "config": asdict(config),
+        "config": {
+            **asdict(config),
+            "identity_rtol": IDENTITY_RTOL,
+            "margin_rtol": MARGIN_RTOL,
+            "eigsh_tol": LANCZOS_RTOL,
+        },
         "instances": instances,
     }
     if include_2d:

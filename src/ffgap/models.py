@@ -44,7 +44,7 @@ class ModelSpec:
 # frustration-freeness verification
 # ---------------------------------------------------------------------------
 
-def frustration_free(spec_payload, kind: str, depth: int) -> bool:
+def frustration_free(spec_payload: ChainModel | InteractionCell, depth: int) -> bool:
     """Numerically check ground energy 0 at every size up to ``depth``.
 
     A window passes when its kernel, built without diagonalization by
@@ -53,7 +53,7 @@ def frustration_free(spec_payload, kind: str, depth: int) -> bool:
     lengths 2..depth, 2D cells on all boxes (a, b) with a <= b <= depth of
     dimension at most ``spectra.DENSE_MAX_DIM``.
     """
-    if kind == "chain":
+    if isinstance(spec_payload, ChainModel):
         return all(K.shape[1] > 0 for K in spectra.chain_kernels(spec_payload, depth)[1:])
     return all(
         spectra.kernel(region_sum(spec_payload, box_region(a, b))).shape[1] > 0
@@ -91,7 +91,7 @@ def aklt(ff_check_depth: int = 8) -> ModelSpec:
         P_R=LocalProjector.zero(1, 3),
     )
     spec = ModelSpec("aklt", "chain", model, ff_check_depth)
-    if not frustration_free(model, "chain", ff_check_depth):
+    if not frustration_free(model, ff_check_depth):
         raise RuntimeError("AKLT chain failed the frustration-freeness check")
     return spec
 
@@ -108,7 +108,7 @@ def singlet_chain(ff_check_depth: int = 8) -> ModelSpec:
         P_R=LocalProjector.zero(1, 2),
     )
     spec = ModelSpec("singlet_chain", "chain", model, ff_check_depth)
-    if not frustration_free(model, "chain", ff_check_depth):
+    if not frustration_free(model, ff_check_depth):
         raise RuntimeError("singlet chain failed the frustration-freeness check")
     return spec
 
@@ -150,7 +150,7 @@ def random_ff(
             P_L=LocalProjector(1, d, _haar_projector(d, rank_boundary, rng)),
             P_R=LocalProjector(1, d, _haar_projector(d, rank_boundary, rng)),
         )
-        if frustration_free(model, "chain", ff_check_depth):
+        if frustration_free(model, ff_check_depth):
             return ModelSpec(
                 name=f"random_ff(d={d},rb={rank_bulk},re={rank_boundary},seed={seed})",
                 kind="chain",
@@ -198,7 +198,7 @@ def random_cell_2d(
         payload=cell,
         ff_check_depth=ff_check_depth,
     )
-    if not frustration_free(cell, "cell_2d", ff_check_depth):
+    if not frustration_free(cell, ff_check_depth):
         raise RuntimeError("random 2D cell failed the frustration-freeness check")
     return spec
 
@@ -213,7 +213,7 @@ def commuting_cell_2d(d: int = 2) -> ModelSpec:
         R=1,
     )
     spec = ModelSpec("commuting_cell_2d", "cell_2d", cell, ff_check_depth=3)
-    if not frustration_free(cell, "cell_2d", 3):
+    if not frustration_free(cell, 3):
         raise RuntimeError("commuting cell failed the frustration-freeness check")
     return spec
 
@@ -314,6 +314,6 @@ def load(path, ff_check_depth: int = 8) -> ModelSpec:
     except (AttributeError, KeyError, TypeError) as err:  # a missing or mistyped field
         raise ValueError(f"{path}: malformed model file ({err})") from None
     spec = ModelSpec(name, kind, payload, depth)
-    if not frustration_free(payload, kind, depth):
+    if not frustration_free(payload, depth):
         raise ValueError(f"{path}: model failed the frustration-freeness check")
     return spec

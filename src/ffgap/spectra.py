@@ -18,8 +18,9 @@ an explicit residual check so a silently unconverged eigenvalue cannot
 masquerade as a gap. Without a basis, a gap is dense or refused. Operators
 are sparse matrices or ndarrays, never matrix-free, and nothing larger than
 DENSE_MAX_DIM is densified. ``_eigsh`` is the one ARPACK call: seeded, on one
-BLAS thread, stopped at LANCZOS_RTOL for a gap and its scale and at machine
-precision where the result feeds a margin or certificate constants. Real
+BLAS thread, stopped at LANCZOS_RTOL for a gap, its scale and the rewrite
+margin, and at machine precision otherwise (certificate constants, margin
+scales, the Cholesky-certified margin). Tolerances are module constants. Real
 solves rerun bit for bit, but complex ARPACK (``znaupd``) on a degenerate
 largest eigenvalue, as in the 2D scale of ``prop2d_margin``, has been seen
 to change in its last bits from call to call. No other module diagonalizes
@@ -52,10 +53,11 @@ from .operators import (
 DENSE_MAX_DIM = 8192  # the largest matrix ffgap densifies; the kernel recursion's cap
 KERNEL_DENSE_CUTOFF = 512  # spectral_gap with a kernel basis: dense up to here, deflated above
 
+ZERO_TOL = 1e-10  # a gap's kernel threshold is ZERO_TOL * max(1, lambda_max)
 RESIDUAL_RTOL = 1e-8
-LANCZOS_RTOL = 1e-12  # ARPACK stopping tolerance of a deflated gap and its scale
+LANCZOS_RTOL = 1e-12  # ARPACK stopping tolerance of a deflated gap, its scale, a rewrite margin
 MARGIN_RTOL = 1e-9  # an inequality holds when its margin is >= -MARGIN_RTOL * scale
-NULL_SVD_TOL = 1e-5  # kernel recursion: a column of energy at most NULL_SVD_TOL^2 is kernel
+NULL_SVD_TOL = math.sqrt(ZERO_TOL)  # kernel recursion: a column of energy <= ZERO_TOL is kernel
 BUFFER_SVD_TOL = 1e-2  # kernel recursion: columns of energy up to BUFFER_SVD_TOL^2 are kept
 LANCZOS_SEED = 20180123
 _ARPACK_MAXITER = 5000
@@ -67,11 +69,11 @@ class GapReport:
     """Result of a gap computation.
 
     ``gap`` is the smallest eigenvalue above the kernel threshold
-    zero_tol * max(1, lambda_max), or +inf when no eigenvalue exceeds it
+    ZERO_TOL * max(1, lambda_max), or +inf when no eigenvalue exceeds it
     (zero operator). ``residual`` is the eigenpair residual of the gap
     relative to the scale s = max(1, lambda_max) (0 for dense computations).
     ``method`` is "dense" or "deflated": the least eigenvalue of H + s Pi_K
-    by the shifted Lanczos solve.
+    by the shifted Lanczos solve. ``zero_tol`` records ZERO_TOL.
     """
 
     dim: int
@@ -208,12 +210,12 @@ def _eigvalsh(arr: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(arr.real if np.iscomplexobj(arr) and not arr.imag.any() else arr)
 
 
-def _dense_report(vals: np.ndarray, zero_tol: float) -> GapReport:
+def _dense_report(vals: np.ndarray) -> GapReport:
     """The gap report of a full ascending spectrum."""
     dim = len(vals)
     lam_max = float(vals[-1]) if dim else 0.0
     scale = max(1.0, lam_max)
-    threshold = zero_tol * scale
+    threshold = ZERO_TOL * scale
     above = vals > threshold
     gap = float(vals[above].min()) if above.any() else math.inf
     return GapReport(
@@ -222,15 +224,15 @@ def _dense_report(vals: np.ndarray, zero_tol: float) -> GapReport:
         kernel_dim=int((~above).sum()),
         gap=gap,
         method="dense",
-        zero_tol=zero_tol,
+        zero_tol=ZERO_TOL,
         residual=0.0,
     )
 
 
-def _kernel_report(H, kernel, zero_tol) -> GapReport:
+def _kernel_report(H, kernel) -> GapReport:
     """Gap of H from a claimed orthonormal kernel basis K, cross-checked both ways.
 
-    lambda_max(K^H H K) <= zero_tol * scale shows, by interlacing, that H has
+    lambda_max(K^H H K) <= ZERO_TOL * scale shows, by interlacing, that H has
     at least dim K eigenvalues at or below the kernel threshold; a gap above
     the threshold shows that it has no more. Either failure raises.
     """
@@ -252,8 +254,8 @@ def _kernel_report(H, kernel, zero_tol) -> GapReport:
 
     def dense_report():
         vals = _eigvalsh(_dense(H))
-        report = _dense_report(vals, zero_tol)
-        check_kernel(zero_tol * max(1.0, float(vals[-1])))
+        report = _dense_report(vals)
+        check_kernel(ZERO_TOL * max(1.0, float(vals[-1])))
         if report.kernel_dim != k:
             raise RuntimeError(
                 f"kernel basis has {k} vectors but H has {report.kernel_dim} eigenvalues "
@@ -266,11 +268,11 @@ def _kernel_report(H, kernel, zero_tol) -> GapReport:
 
     if k == dim:
         scale = max(1.0, float(ritz[-1]))
-        check_kernel(zero_tol * scale)
-        return GapReport(dim, float(ritz[0]), dim, math.inf, "deflated", zero_tol, 0.0)
+        check_kernel(ZERO_TOL * scale)
+        return GapReport(dim, float(ritz[0]), dim, math.inf, "deflated", ZERO_TOL, 0.0)
     lam_max = _largest_eigenvalue(lambda v: H @ v, dim, H.dtype, tol=LANCZOS_RTOL)
     scale = max(1.0, lam_max)
-    threshold = zero_tol * scale
+    threshold = ZERO_TOL * scale
     check_kernel(threshold)
 
     K_h = K.conj().T
@@ -301,23 +303,23 @@ def _kernel_report(H, kernel, zero_tol) -> GapReport:
         kernel_dim=k,
         gap=gap,
         method="deflated",
-        zero_tol=zero_tol,
+        zero_tol=ZERO_TOL,
         residual=residual,
     )
 
 
-def spectral_gap(op, zero_tol: float = 1e-10, kernel=None) -> GapReport:
+def spectral_gap(op, kernel=None) -> GapReport:
     """Ground energy, kernel dimension, and spectral gap of a PSD operator.
 
-    The gap is the smallest eigenvalue exceeding zero_tol * max(1,
-    lambda_max). Iterative runs raise if the residual of the gap eigenpair
-    exceeds 1e-8 relative to the spectral scale.
+    The gap is the smallest eigenvalue exceeding the kernel threshold
+    ZERO_TOL * max(1, lambda_max). Deflated runs raise if the residual of
+    the gap eigenpair exceeds RESIDUAL_RTOL relative to the spectral scale.
 
     ``kernel`` is an orthonormal basis (dim x k) of the claimed kernel, as
-    from ``chain_kernels`` or ``kernel``. It is cross-checked (raising on a
-    mismatch) and the gap is then dense up to dimension 512. Above it,
-    s = max(1, lambda_max) comes from one Lanczos solve and the gap is the
-    least eigenvalue of H + s Pi_K, Pi_K v = K (K^H v), by the shifted
+    from ``chain_kernels`` or ``kernel``. It is cross-checked against the
+    kernel threshold (raising on a mismatch); the gap is then dense up to
+    dimension 512. Above it, s = max(1, lambda_max) comes from one Lanczos
+    solve and the gap is the least eigenvalue of H + s Pi_K, by the shifted
     solve of ``_least_eigenvalue`` ("deflated"); both stop at LANCZOS_RTOL.
     The gap solve goes dense after DEFLATED_RESTARTS restarts up to
     DENSE_MAX_DIM.
@@ -327,8 +329,8 @@ def spectral_gap(op, zero_tol: float = 1e-10, kernel=None) -> GapReport:
     """
     H = _matrix(op)
     if kernel is not None:
-        return _kernel_report(H, kernel, zero_tol)
-    return _dense_report(_eigvalsh(_dense(H)), zero_tol)
+        return _kernel_report(H, kernel)
+    return _dense_report(_eigvalsh(_dense(H)))
 
 
 def psd_margin(op) -> float:
@@ -467,8 +469,8 @@ def kernel(op: LocalSum) -> np.ndarray:
     With weights >= 0 the kernel is the intersection of the terms' kernels,
     so ``_grow`` builds it without diagonalization, each term cutting it at
     its last factor; zero-weight terms are skipped. A column is kernel when
-    its energy is at most NULL_SVD_TOL^2 = 1e-10, the kernel threshold of a
-    unit-scale ``spectral_gap``. Every block must be a projector, so that
+    its energy is at most NULL_SVD_TOL^2 = ZERO_TOL, the kernel threshold of
+    a unit-scale ``spectral_gap``. Every block must be a projector, so that
     the thresholds are absolute. Raises ValueError on unequal factor
     dimensions, a negative weight, or past the recursion's cap (``_grow``).
     """
@@ -485,9 +487,7 @@ def kernel(op: LocalSum) -> np.ndarray:
     return _null(*state)
 
 
-def chain_gap(
-    model: ChainModel, m: int, zero_tol: float = 1e-10, kernels: list | None = None
-) -> GapReport:
+def chain_gap(model: ChainModel, m: int, kernels: list | None = None) -> GapReport:
     """spectral_gap of the m-site chain from its kernel basis.
 
     ``kernels`` is the output of ``chain_kernels(model, n)`` for some n >= m
@@ -497,7 +497,7 @@ def chain_gap(
     check_dim(model.d**m)
     if kernels is None:
         kernels = chain_kernels(model, m)
-    return spectral_gap(chain_hamiltonian(model, m), zero_tol=zero_tol, kernel=kernels[m - 1])
+    return spectral_gap(chain_hamiltonian(model, m), kernel=kernels[m - 1])
 
 
 def region_gap(cell: InteractionCell, region: SiteRegion) -> GapReport:
@@ -516,7 +516,7 @@ def region_gap(cell: InteractionCell, region: SiteRegion) -> GapReport:
 # boundary gap profiles
 # ---------------------------------------------------------------------------
 
-def gap_profile(model: ChainModel, n: int, zero_tol: float = 1e-10) -> GapProfile:
+def gap_profile(model: ChainModel, n: int) -> GapProfile:
     """Bulk and boundary gaps of an open chain model for lengths 2..n.
 
     The bulk gap drops both boundary projectors; the left (right) gap
@@ -536,9 +536,7 @@ def gap_profile(model: ChainModel, n: int, zero_tol: float = 1e-10) -> GapProfil
     right_model = ChainModel(model.d, model.P, zero, model.P_R)
 
     def gaps(chain: ChainModel, kernels: list) -> tuple[float, ...]:
-        return tuple(
-            chain_gap(chain, length, zero_tol, kernels).gap for length in range(2, n + 1)
-        )
+        return tuple(chain_gap(chain, length, kernels).gap for length in range(2, n + 1))
 
     bulk_states = list(_open_states(bulk_model, n))
     bulk_list = gaps(bulk_model, _closed(bulk_model, bulk_states))

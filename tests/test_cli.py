@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ffgap
-from ffgap import _blas, operators, spectra
+from ffgap import _blas, cli, operators, spectra
 from ffgap.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -54,7 +54,7 @@ class TestResolveModel:
         assert resolve_model("commuting2d").kind == "cell_2d"
 
     def test_random_recipe(self):
-        spec = resolve_model("random:d=2,rank_bulk=1,rank_boundary=0,seed=9", 4)
+        spec = resolve_model("random:d=2,rank_bulk=1,rank_boundary=0,seed=9")
         assert spec.kind == "chain"
         assert spec.payload.d == 2
 
@@ -65,7 +65,7 @@ class TestResolveModel:
     )
     def test_random_recipe_bad_key(self, capsys, recipe, problem):
         with pytest.raises(ValueError, match=problem):
-            resolve_model(recipe, 4)
+            resolve_model(recipe)
         assert main(["gap", "--model", recipe, "--sizes", "3"]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert problem in err
@@ -74,7 +74,7 @@ class TestResolveModel:
     def test_model_file(self, tmp_path, random_chain_d2):
         path = tmp_path / "model.json"
         save(random_chain_d2, path)
-        spec = resolve_model(str(path), 4)
+        spec = resolve_model(str(path))
         assert spec.kind == "chain"
 
 
@@ -211,6 +211,26 @@ class TestCertifyCommand:
         cert = doc["result"]
         assert cert["local_gap"] == pytest.approx(1.0)
         assert cert["constants"]["C1_1d"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("2d", "--model", "commuting2d", "--n", "3", "--R", "1"), "even integer >= 2, got 3"),
+            (("gm", "--model", "aklt", "--n", "10", "--m", "16"), "need n <= m/2 - 1, got n=10"),
+            (("quasi1d", "--model", "commuting2d", "--n", "3", "--m2", "1", "--R", "1"),
+             "need n >= 4, got 3"),
+        ],
+        ids=["2d_odd_n", "gm_n_above_m", "quasi1d_small_n"],
+    )
+    def test_inputs_checked_before_window_gaps(self, capsys, monkeypatch, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a window was computed before the criterion's n was checked")
+
+        for name in ("region_gap", "chain_gap", "effective_1d", "effective_2d"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, doc = run_json(capsys, "--error-json", "certify", *argv)
+        assert code == EXIT_ERROR
+        assert message in doc["error"]
 
 
 class TestThresholdsCommand:

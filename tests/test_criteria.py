@@ -45,7 +45,7 @@ from ffgap.criteria import (
     window_gap_margins,
 )
 from ffgap.models import random_cell_2d
-from ffgap.operators import LocalProjector, enlarged_ring
+from ffgap.operators import ChainModel, LocalProjector, enlarged_ring
 from ffgap.spectra import GapProfile, certified_margin, gap_profile
 
 
@@ -518,6 +518,16 @@ class TestSuite:
         ):
             assert key in record
         assert record["pass"]
+
+    def test_ff_precondition_from_the_kernel_recursion(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the FF precondition computed a gap")
+
+        monkeypatch.setattr(spectra, "spectral_gap", refuse)
+        zero = LocalProjector.zero(1, 2)
+        full_rank_bond = ChainModel(2, LocalProjector(2, 2, np.eye(4)), zero, zero)
+        record = verify_chain_instance(full_rank_bond, 4, SuiteConfig())
+        assert record == {"ff": False, "failure": "ff_precondition", "pass": False}
 
     def test_suite_deterministic(self):
         a = verify_inequality_suite(3, 2, SuiteConfig())

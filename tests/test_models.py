@@ -61,7 +61,7 @@ class TestSingletChain:
 
 class TestFrustrationFree:
     def test_accepts_aklt(self, aklt_spec):
-        assert frustration_free(aklt_spec.payload, "chain", 6)
+        assert frustration_free(aklt_spec.payload, 6)
 
     def test_rejects_full_rank_bond(self):
         model = ChainModel(
@@ -70,7 +70,7 @@ class TestFrustrationFree:
             P_L=LocalProjector.zero(1, 2),
             P_R=LocalProjector.zero(1, 2),
         )
-        assert not frustration_free(model, "chain", 4)
+        assert not frustration_free(model, 4)
 
     def test_chain_check_needs_no_diagonalization(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -79,7 +79,7 @@ class TestFrustrationFree:
         monkeypatch.setattr(LocalSum, "assemble", refuse)
         assert aklt(ff_check_depth=10).ff_check_depth == 10
         assert random_ff(2, 1, 0, seed=5, ff_check_depth=10).regenerations == 0
-        assert frustration_free(random_ff(3, 1, 1, 108, ff_check_depth=4).payload, "chain", 7)
+        assert frustration_free(random_ff(3, 1, 1, 108, ff_check_depth=4).payload, 7)
         assert commuting_cell_2d().ff_check_depth == 3
 
     def test_fixture_regenerations_unchanged(self, random_chain_d2, random_chain_d3_boundary):
@@ -137,7 +137,7 @@ class TestRandomCell2d:
             cell = spec.payload
             assert cell.R == 1
             assert all(shape.offsets == ((0, 0),) for shape, _ in cell.terms)
-            assert frustration_free(cell, "cell_2d", 2)
+            assert frustration_free(cell, 2)
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Spectral gap reports, PSD margins, chain kernels, and boundary gap profiles."""
 
+import argparse
 import ast
+import dataclasses
 import math
 import time
 from dataclasses import replace
@@ -15,8 +17,9 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 import ffgap
 from ffgap import spectra
+from ffgap.cli import build_parser
 from ffgap.coefficients import SQRT6, coeffs_1d
-from ffgap.criteria import rewrite_margin
+from ffgap.criteria import SuiteConfig, rewrite_margin
 from ffgap.lattice import InteractionShape, box_region, rhomboid_sites
 from ffgap.models import ModelSpec, commuting_cell_2d, random_cell_2d, random_ff
 from ffgap.operators import (
@@ -62,7 +65,7 @@ class TestSpectralGap:
     def test_kernel_threshold_scales_with_lambda_max(self):
         # an eigenvalue at 1e-6 with lambda_max 1e6 sits below the relative
         # kernel threshold and must be counted as kernel, not as the gap
-        report = spectral_gap(diag_operator([0.0, 1e-6, 1e6]), zero_tol=1e-10)
+        report = spectral_gap(diag_operator([0.0, 1e-6, 1e6]))
         assert report.kernel_dim == 2
         assert report.gap == pytest.approx(1e6)
 
@@ -82,6 +85,22 @@ class TestSpectralGap:
             report = spectral_gap(op.assemble(), kernel=K)
             assert (report.method, report.kernel_dim) == ("deflated", 2 ** (sites - 1))
             assert report.gap == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("sites", [9, 10], ids=["dense", "deflated"])
+    def test_one_kernel_threshold_at_its_boundary(self, sites):
+        # the recursion and the gap share one threshold: an energy w at or
+        # below ZERO_TOL is kernel for both, and above it w is the gap
+        assert spectra.NULL_SVD_TOL == math.sqrt(spectra.ZERO_TOL) == 1e-5
+        for weight, kernel_dim in ((1e-11, 2**sites), (1e-9, 2 ** (sites - 1))):
+            op = LocalSum((2,) * sites, [((0,), np.diag([0.0, 1.0]), weight)])
+            K = kernel(op)
+            assert K.shape == (2**sites, kernel_dim)
+            report = spectral_gap(op.assemble(), kernel=K)
+            assert report.kernel_dim == kernel_dim
+            if kernel_dim == 2**sites:
+                assert math.isinf(report.gap)
+            else:
+                assert report.gap == pytest.approx(weight, abs=1e-12)
 
     def test_no_kernel_basis_is_dense_or_refused(self):
         values = np.array([0.0, 0.3] + [1.0] * 200)
@@ -623,6 +642,30 @@ def test_only_spectra_diagonalizes(module):
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
     assert not names & EIGENSOLVERS, f"{module} references {sorted(names & EIGENSOLVERS)}"
+
+
+def test_tolerances_are_constants():
+    """No public function parameter, SuiteConfig field or CLI option is a tolerance (ends in tol).
+
+    The private Lanczos routines (_eigsh, _largest_eigenvalue, _least_eigenvalue)
+    keep their ``tol``: they are called with two values.
+    """
+    params = [
+        f"{path.name}: {node.name}({arg.arg})"
+        for path in sorted(Path(ffgap.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if arg.arg.endswith("tol")
+    ]
+    fields = [field.name for field in dataclasses.fields(SuiteConfig) if field.name.endswith("tol")]
+    options, parsers = [], [build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            options += [option for option in action.option_strings if option.endswith("-tol")]
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+    assert not params + fields + options
 
 
 def test_every_gap_in_ffgap_has_a_kernel_basis():
