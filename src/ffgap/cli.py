@@ -190,7 +190,7 @@ def _cmd_certify(args):
         if args.criterion == "thm1":
             cert = criteria.certify_thm1(profile, args.n, mode=args.mode)
         else:
-            cert = criteria.certify_thm2(model, profile, args.n, mode=args.mode)
+            cert = criteria.certify_thm2(profile, args.n, mode=args.mode)
     elif args.criterion == "gm":
         spec = resolve_model(args.model)
         model = _require_kind(spec, "chain")
@@ -265,6 +265,8 @@ def _cmd_coarse_grain(args):
     spec = resolve_model(args.model)
     cell = _require_kind(spec, "cell_2d")
     if args.two_d:
+        if args.m2 is not None:
+            raise ValueError("--m2 is the quasi-1D strip height; --two-d takes no --m2")
         eff = effective_2d(cell, args.R)
         doc = {
             "geometry": "2d",

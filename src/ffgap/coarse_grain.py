@@ -60,7 +60,6 @@ class CellRejection(ValueError):
 class EffectiveModel1D:
     """Metaspin chain obtained from one quasi-1D coarse-graining step."""
 
-    metaspin_dim: int
     P_eff: LocalProjector
     lambda_min: float
     lambda_max: float
@@ -70,6 +69,10 @@ class EffectiveModel1D:
     def __post_init__(self):
         if not 0 < self.lambda_min <= self.lambda_max:
             raise ValueError("need 0 < lambda_min <= lambda_max")
+
+    @property
+    def metaspin_dim(self) -> int:
+        return self.P_eff.d
 
     @property
     def C1(self) -> float:
@@ -89,7 +92,6 @@ class EffectiveModel1D:
 class EffectiveModel2D:
     """Metaspin plaquette model obtained from one 2D coarse-graining step."""
 
-    metaspin_dim: int
     h_plaquette: LocalProjector
     lambda_min: float
     lambda_max: float
@@ -98,6 +100,10 @@ class EffectiveModel2D:
     def __post_init__(self):
         if not 0 < self.lambda_min <= self.lambda_max:
             raise ValueError("need 0 < lambda_min <= lambda_max")
+
+    @property
+    def metaspin_dim(self) -> int:
+        return self.h_plaquette.d
 
     @property
     def C1(self) -> float:
@@ -213,10 +219,8 @@ def effective_1d(
         for proj, translate in region_terms(cell, region)
     ]
     projector, lam_min, lam_max = _effective_projector(LocalSum((d,) * len(region), terms))
-    p_eff = LocalProjector(2, metaspin_dim, projector)
     return EffectiveModel1D(
-        metaspin_dim=metaspin_dim,
-        P_eff=p_eff,
+        P_eff=LocalProjector(2, metaspin_dim, projector),
         lambda_min=lam_min,
         lambda_max=lam_max,
         R=R,
@@ -314,10 +318,8 @@ def effective_2d(
                 positions = tuple(map(position.get, translate))
                 terms.append((positions, proj.matrix, _BULK_WEIGHTS[kind]))
     projector, lam_min, lam_max = _effective_projector(LocalSum((d,) * len(box_major), terms))
-    h_plaq = LocalProjector(4, metaspin_dim, projector)
     return EffectiveModel2D(
-        metaspin_dim=metaspin_dim,
-        h_plaquette=h_plaq,
+        h_plaquette=LocalProjector(4, metaspin_dim, projector),
         lambda_min=lam_min,
         lambda_max=lam_max,
         R=R,

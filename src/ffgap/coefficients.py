@@ -37,23 +37,21 @@ SQRT6 = math.sqrt(6.0)
 
 @dataclass(frozen=True)
 class Deformation1D:
-    """1D deformation coefficients c_0..c_{n-2}.
+    """1D deformation coefficients c_0..c_{n-2}; their count fixes the window size n.
 
     Valid families are symmetric about the midpoint and non-decreasing up to
     it: c_j >= c_{j-1} for 1 <= j <= (n-2)/2 and c_j = c_{n-2-j}.
     """
 
-    n: int
-    x: float
     c: tuple[float, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.c) + 1
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"need n >= 3, got {self.n}")
-        if self.x <= 0:
-            raise ValueError(f"deformation parameter must be positive, got {self.x}")
-        if len(self.c) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} coefficients, got {len(self.c)}")
         if any(cj <= 0 for cj in self.c):
             raise ValueError("coefficients must be positive")
         n = self.n
@@ -67,16 +65,17 @@ class Deformation1D:
 
 @dataclass(frozen=True)
 class Deformation2D:
-    """2D ring coefficients c(1)..c(n/2); must be non-increasing."""
+    """2D ring coefficients c(1)..c(n/2), n = 2 len(c); must be non-increasing."""
 
-    n: int
     c: tuple[float, ...]
 
+    @property
+    def n(self) -> int:
+        return 2 * len(self.c)
+
     def __post_init__(self):
-        if self.n < 2 or self.n % 2 != 0:
-            raise ValueError(f"need even n >= 2, got {self.n}")
-        if len(self.c) != self.n // 2:
-            raise ValueError(f"expected {self.n // 2} coefficients, got {len(self.c)}")
+        if self.n < 2:
+            raise ValueError(f"need n >= 2, got {self.n}")
         if any(cr <= 0 for cr in self.c):
             raise ValueError("coefficients must be positive")
         for r in range(1, len(self.c)):
@@ -131,9 +130,9 @@ def coeffs_1d(n: int, x: float) -> Deformation1D:
     if x <= 0:
         raise ValueError(f"deformation parameter must be positive, got {x}")
     if n == 3:
-        return Deformation1D(n=3, x=x, c=(1.0, 1.0))
+        return Deformation1D(c=(1.0, 1.0))
     c = tuple(n ** 1.5 + x * ((n - 2) * j - j * j) for j in range(n - 1))
-    return Deformation1D(n=n, x=x, c=c)
+    return Deformation1D(c=c)
 
 
 def optimal_x(n: int) -> tuple[float, float, float, float]:
@@ -233,7 +232,7 @@ def coeffs_2d(n: int) -> Deformation2D:
         raise ValueError(f"need even n >= 2, got {n}")
     half = n // 2
     c = tuple(n ** 1.5 + half * half - r * r for r in range(1, half + 1))
-    return Deformation2D(n=n, c=c)
+    return Deformation2D(c=c)
 
 
 def weight_table(n: int, c: Deformation2D | None = None) -> WeightTable:

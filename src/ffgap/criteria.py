@@ -68,10 +68,16 @@ class Certificate:
     local_gap: float
     threshold: float
     prefactor: float
-    bound: float
-    verdict: str
     constants: dict = field(default_factory=dict)
     provenance: tuple = ()
+
+    @property
+    def bound(self) -> float:
+        return self.prefactor * (self.local_gap - self.threshold)
+
+    @property
+    def verdict(self) -> str:
+        return "certified_gapped" if self.local_gap > self.threshold else "inconclusive"
 
     def to_json(self) -> dict:
         return {
@@ -91,16 +97,12 @@ class Certificate:
 
 
 def _certificate(criterion, inputs, local_gap, threshold, prefactor, constants=None, provenance=()):
-    verdict = "certified_gapped" if local_gap > threshold else "inconclusive"
-    bound = prefactor * (local_gap - threshold)
     return Certificate(
         criterion=criterion,
         inputs=dict(inputs),
         local_gap=float(local_gap),
         threshold=float(threshold),
         prefactor=float(prefactor),
-        bound=float(bound),
-        verdict=verdict,
         constants=dict(constants or {}),
         provenance=tuple(provenance),
     )
@@ -144,14 +146,14 @@ def certify_thm1(profile: GapProfile, n: int, mode: str = "exact") -> Certificat
     )
 
 
-def certify_thm2(
-    model: ChainModel, profile: GapProfile, n: int, mode: str = "exact"
-) -> Certificate:
+def certify_thm2(profile: GapProfile, n: int, mode: str = "exact") -> Certificate:
     """Strong open-chain criterion with coefficient-weighted edge averages.
 
     The edge contribution replaces the plain minimum by suffix-weighted
     averages of min(left, right) gaps, so a single small short-chain edge
     gap no longer dominates; the bound is never below the plain criterion.
+    The bare boundary gap e_0 is 1 (a nonzero boundary projector) unless the
+    profile's model has no boundary projectors, where it is +inf.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
@@ -161,12 +163,7 @@ def certify_thm2(
     c = coeffs_1d(n, x).c
     threshold = threshold_1d(n, mode)
     # edge gaps for lengths 1..n-1 (length 1 is the bare boundary projector)
-    e = [
-        min(
-            1.0 if not model.P_L.is_zero else math.inf,
-            1.0 if not model.P_R.is_zero else math.inf,
-        )
-    ]
+    e = [math.inf if profile.boundary_trivial else 1.0]
     for k in range(1, n - 1):
         e.append(min(profile.left[k - 1], profile.right[k - 1]))
     averages = []
@@ -235,9 +232,8 @@ def certify_quasi1d(
 ) -> Certificate:
     """Strip-geometry criterion from gaps of windows of l strips.
 
-    ``gaps`` maps l -> gap of the (l*R) x m2 box Hamiltonian for all l in
-    the window ``quasi1d_window(n)`` (callers are responsible for inflating
-    R to a divisor of the strip count before computing gaps).
+    ``gaps`` maps l -> gap of the window of l whole strips of width R, the
+    (l*R) x m2 box Hamiltonian, for all l in ``quasi1d_window(n)``.
     """
     window = quasi1d_window(n)
     eff = effective if effective is not None else effective_1d(cell, m2, R)
@@ -354,10 +350,9 @@ def certify_2d(
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Sizes of the inequality suite (its tolerances are IDENTITY_RTOL and MARGIN_RTOL)."""
+    """Sizes of the inequality suite (x = SQRT6, tolerances IDENTITY_RTOL and MARGIN_RTOL)."""
 
     n: int = 4
-    x: float = SQRT6
     margin_m: int = 8
     dims_cycle: tuple[int, ...] = (2, 2, 2, 3)
     identity_ms_d2: tuple[int, ...] = (4, 5, 6, 7, 8)
@@ -427,9 +422,7 @@ def apply_q_plus_f(ring: LocalSum, images: list[np.ndarray]) -> np.ndarray:
     return sum(ring.apply_term(t, total - image) for t, image in enumerate(images))
 
 
-def interchange_residual(
-    model: ChainModel, m: int, n: int, coeffs: Deformation1D, seed: int = 0
-) -> float:
+def interchange_residual(model: ChainModel, m: int, coeffs: Deformation1D, seed: int = 0) -> float:
     """Relative residual of sum_l B_{n,l} = (sum_j c_j) H on random vectors."""
     ring = enlarged_ring(model, m)
     rng = np.random.default_rng((seed, 0xB0))
@@ -468,8 +461,8 @@ def rewrite_difference(ring: LocalSum, c: tuple[float, ...], v: np.ndarray) -> n
     return out
 
 
-def rewrite_margin(model: ChainModel, m: int, n: int, coeffs: Deformation1D) -> tuple[float, float]:
-    """(margin, scale) of the deformed-window rewrite inequality.
+def rewrite_margin(model: ChainModel, m: int, coeffs: Deformation1D) -> tuple[float, float]:
+    """(margin, scale) of the deformed-window rewrite inequality at window size coeffs.n.
 
     The inequality bounds sum_l B_{n,l}^2 by (sum c^2) H + (sum c c') (Q+F);
     the margin is the least eigenvalue of the difference D and the scale is
@@ -482,6 +475,7 @@ def rewrite_margin(model: ChainModel, m: int, n: int, coeffs: Deformation1D) -> 
     applies every term once for the term images and once more for the rest
     (``rewrite_difference``), 2(m+1) term applications in all.
     """
+    n = coeffs.n
     if not 3 <= n <= m / 2:
         raise ValueError(f"need 3 <= n <= m/2, got n={n}, m={m}")
     sum_c2, sum_cc = _coefficient_sums(coeffs.c)
@@ -500,23 +494,17 @@ def rewrite_margin(model: ChainModel, m: int, n: int, coeffs: Deformation1D) -> 
 
 
 def window_gap_margins(
-    model: ChainModel,
-    m: int,
-    n: int,
-    coeffs: Deformation1D,
-    gamma_bulk: float,
-    gamma_edge: float,
+    model: ChainModel, m: int, coeffs: Deformation1D, gamma_bulk: float, gamma_edge: float
 ) -> list[dict]:
-    """Per-window margins of B^2 >= c_0 gamma B (bulk/edge split by l).
+    """Per-window margins of B^2 >= c_0 gamma B (bulk/edge split by l) at window size coeffs.n.
 
     Each window B_{n,l} takes its nonzero terms from the enlarged ring and
     is assembled on the sites they touch, so the margin of the polynomial
     c_0-gap inequality comes from a small dense spectrum.
     """
-    if not 1 <= n <= m / 2:
-        raise ValueError(f"need 1 <= n <= m/2, got n={n}, m={m}")
-    if len(coeffs.c) != n - 1:
-        raise ValueError(f"expected {n - 1} coefficients, got {len(coeffs.c)}")
+    n = coeffs.n
+    if n > m / 2:
+        raise ValueError(f"need n <= m/2, got n={n}, m={m}")
     ring = enlarged_ring(model, m)
     period = m + 1
     c0 = coeffs.c[0]
@@ -564,17 +552,17 @@ def verify_chain_instance(
         record["failure"] = "ff_precondition"
         record["pass"] = False
         return record
-    coeffs = coeffs_1d(n, config.x)
+    coeffs = coeffs_1d(n, SQRT6)
 
     identity = hsquared_identity_residual(model, identity_m)
     record["identity_residual"] = identity
     record["identity_pass"] = identity <= IDENTITY_RTOL
 
-    inter = interchange_residual(model, config.margin_m, n, coeffs, seed)
+    inter = interchange_residual(model, config.margin_m, coeffs, seed)
     record["interchange_residual"] = inter
     record["interchange_pass"] = inter <= IDENTITY_RTOL
 
-    margin, scale = rewrite_margin(model, config.margin_m, n, coeffs)
+    margin, scale = rewrite_margin(model, config.margin_m, coeffs)
     record["rewrite_margin"] = margin
     record["rewrite_scale"] = scale
     record["rewrite_pass"] = margin >= -MARGIN_RTOL * scale
@@ -584,7 +572,7 @@ def verify_chain_instance(
     gamma_edge = profile.edge_min_at(n - 1)
     record["gamma_bulk_n"] = gamma_bulk
     record["gamma_edge"] = gamma_edge
-    windows = window_gap_margins(model, config.margin_m, n, coeffs, gamma_bulk, gamma_edge)
+    windows = window_gap_margins(model, config.margin_m, coeffs, gamma_bulk, gamma_edge)
     record["windows"] = windows
     record["windows_pass"] = all(w["margin"] >= -MARGIN_RTOL * w["scale"] for w in windows)
 
@@ -687,6 +675,7 @@ def verify_inequality_suite(
         "seed": seed,
         "trials": trials,
         "config": {
+            "x": SQRT6,
             **asdict(config),
             "identity_rtol": IDENTITY_RTOL,
             "margin_rtol": MARGIN_RTOL,

@@ -171,14 +171,13 @@ class InteractionShape:
     """A finite set of offsets (containing the origin) on which a term acts.
 
     ``kind`` tags the geometric family: 'single_site', 'chain_pair',
-    'l1_ball' (params = (r,)), 'axis_line' (params = (a, b, axis)), or
-    'generic'. Constructors below build the offset set from the parameters,
-    so a tagged shape always matches its set definition.
+    'l1_ball', 'axis_line', or 'generic'. Constructors below build the
+    offset set from the family's parameters, so a tagged shape always
+    matches its set definition.
     """
 
     offsets: tuple[Coord, ...]
     kind: str = "generic"
-    params: tuple[int, ...] = ()
 
     def __post_init__(self):
         ordered = tuple(sorted(self.offsets))
@@ -207,7 +206,7 @@ class InteractionShape:
             for y in range(-r, r + 1)
             if abs(x) + abs(y) <= r
         )
-        return cls(offsets, kind="l1_ball", params=(r,))
+        return cls(offsets, kind="l1_ball")
 
     @classmethod
     def axis_line(cls, a: int, b: int, axis: int) -> "InteractionShape":
@@ -219,7 +218,7 @@ class InteractionShape:
         offsets = tuple(
             (j, 0) if axis == 0 else (0, j) for j in range(-a, b + 1)
         )
-        return cls(offsets, kind="axis_line", params=(a, b, axis))
+        return cls(offsets, kind="axis_line")
 
     @property
     def diameter(self) -> int:

@@ -1,10 +1,12 @@
 """Built-in model constructors, random frustration-free instances, and model files.
 
 Every constructor returns a ModelSpec whose frustration-freeness (ground
-energy zero at each length) has been verified numerically up to
+energy zero at each length) has been verified numerically up to its
 ``ff_check_depth``; rank-based sufficient conditions are treated as
 advisory input validation only. Chains and 2D cells are checked by their
-kernel recursion (``spectra.chain_kernels``, ``spectra.kernel``).
+kernel recursion (``spectra.chain_kernels``, ``spectra.kernel``). The depth
+is CHAIN_FF_DEPTH for built-in and loaded chains (6 for loaded chains with
+d > 3) and CELL_FF_DEPTH for 2D cells; only ``random_ff`` takes a depth.
 """
 
 from __future__ import annotations
@@ -20,24 +22,34 @@ from .lattice import InteractionShape, box_region
 from .operators import ChainModel, InteractionCell, LocalProjector, region_sum
 
 MAX_REGENERATIONS = 16
+CHAIN_FF_DEPTH = 8  # chains are checked at lengths 2..8
+CELL_FF_DEPTH = 3  # 2D cells are checked on boxes up to 3 x 3
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A named model plus the depth to which frustration-freeness was verified."""
+    """A named model plus the depth to which frustration-freeness was verified.
+
+    The depth is CHAIN_FF_DEPTH or CELL_FF_DEPTH except for ``random_ff``
+    chains and loaded chains with d > 3; ``kind`` follows from the payload.
+    """
 
     name: str
-    kind: str  # "chain" | "cell_2d"
     payload: ChainModel | InteractionCell
     ff_check_depth: int
     regenerations: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("chain", "cell_2d"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        expected = ChainModel if self.kind == "chain" else InteractionCell
-        if not isinstance(self.payload, expected):
-            raise ValueError(f"payload type does not match kind {self.kind!r}")
+        if not isinstance(self.payload, (ChainModel, InteractionCell)):
+            raise ValueError(
+                "payload must be a ChainModel or an InteractionCell, "
+                f"not {type(self.payload).__name__}"
+            )
+
+    @property
+    def kind(self) -> str:
+        """The model kind, "chain" or "cell_2d", read from the payload's type."""
+        return "chain" if isinstance(self.payload, ChainModel) else "cell_2d"
 
 
 # ---------------------------------------------------------------------------
@@ -50,15 +62,16 @@ def frustration_free(spec_payload: ChainModel | InteractionCell, depth: int) -> 
     A window passes when its kernel, built without diagonalization by
     ``spectra.chain_kernels`` or ``spectra.kernel``, is nonempty; a chain
     past the recursion's cap raises ValueError. Chains are checked at
-    lengths 2..depth, 2D cells on all boxes (a, b) with a <= b <= depth of
-    dimension at most ``spectra.DENSE_MAX_DIM``.
+    lengths 2..depth, 2D cells on all boxes a x b with a, b <= depth (both
+    orientations: a cell need not be symmetric) of dimension at most
+    ``spectra.DENSE_MAX_DIM``.
     """
     if isinstance(spec_payload, ChainModel):
         return all(K.shape[1] > 0 for K in spectra.chain_kernels(spec_payload, depth)[1:])
     return all(
         spectra.kernel(region_sum(spec_payload, box_region(a, b))).shape[1] > 0
         for a in range(1, depth + 1)
-        for b in range(a, depth + 1)
+        for b in range(1, depth + 1)
         if spec_payload.d ** (a * b) <= spectra.DENSE_MAX_DIM
     )
 
@@ -77,7 +90,7 @@ def _spin1_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sx, sy, sz
 
 
-def aklt(ff_check_depth: int = 8) -> ModelSpec:
+def aklt() -> ModelSpec:
     """Spin-1 chain with the rank-5 projector onto total spin 2 on each bond."""
     sx, sy, sz = _spin1_matrices()
     eye = np.eye(3)
@@ -90,13 +103,13 @@ def aklt(ff_check_depth: int = 8) -> ModelSpec:
         P_L=LocalProjector.zero(1, 3),
         P_R=LocalProjector.zero(1, 3),
     )
-    spec = ModelSpec("aklt", "chain", model, ff_check_depth)
-    if not frustration_free(model, ff_check_depth):
+    spec = ModelSpec("aklt", model, CHAIN_FF_DEPTH)
+    if not frustration_free(model, CHAIN_FF_DEPTH):
         raise RuntimeError("AKLT chain failed the frustration-freeness check")
     return spec
 
 
-def singlet_chain(ff_check_depth: int = 8) -> ModelSpec:
+def singlet_chain() -> ModelSpec:
     """Spin-1/2 chain projecting each bond onto the two-site singlet (gapless)."""
     singlet = np.zeros(4, dtype=np.complex128)
     singlet[1] = 1.0 / math.sqrt(2.0)
@@ -107,8 +120,8 @@ def singlet_chain(ff_check_depth: int = 8) -> ModelSpec:
         P_L=LocalProjector.zero(1, 2),
         P_R=LocalProjector.zero(1, 2),
     )
-    spec = ModelSpec("singlet_chain", "chain", model, ff_check_depth)
-    if not frustration_free(model, ff_check_depth):
+    spec = ModelSpec("singlet_chain", model, CHAIN_FF_DEPTH)
+    if not frustration_free(model, CHAIN_FF_DEPTH):
         raise RuntimeError("singlet chain failed the frustration-freeness check")
     return spec
 
@@ -130,7 +143,7 @@ def random_ff(
     rank_bulk: int,
     rank_boundary: int,
     seed: int,
-    ff_check_depth: int = 8,
+    ff_check_depth: int = CHAIN_FF_DEPTH,
 ) -> ModelSpec:
     """Haar-random bond and boundary projectors, verified frustration-free.
 
@@ -153,7 +166,6 @@ def random_ff(
         if frustration_free(model, ff_check_depth):
             return ModelSpec(
                 name=f"random_ff(d={d},rb={rank_bulk},re={rank_boundary},seed={seed})",
-                kind="chain",
                 payload=model,
                 ff_check_depth=ff_check_depth,
                 regenerations=attempt,
@@ -163,12 +175,7 @@ def random_ff(
     )
 
 
-def random_cell_2d(
-    d: int,
-    n_terms: int,
-    seed: int,
-    ff_check_depth: int = 3,
-) -> ModelSpec:
+def random_cell_2d(d: int, n_terms: int, seed: int) -> ModelSpec:
     """Random range-1 cell: single-site projectors annihilating a common state.
 
     Each term is a Haar-random rank-1 projector orthogonal to one fixed
@@ -194,11 +201,10 @@ def random_cell_2d(
     cell = InteractionCell(d=d, terms=tuple(terms), R=1)
     spec = ModelSpec(
         name=f"random_cell_2d(d={d},terms={n_terms},seed={seed})",
-        kind="cell_2d",
         payload=cell,
-        ff_check_depth=ff_check_depth,
+        ff_check_depth=CELL_FF_DEPTH,
     )
-    if not frustration_free(cell, ff_check_depth):
+    if not frustration_free(cell, CELL_FF_DEPTH):
         raise RuntimeError("random 2D cell failed the frustration-freeness check")
     return spec
 
@@ -212,8 +218,8 @@ def commuting_cell_2d(d: int = 2) -> ModelSpec:
         terms=((InteractionShape.single_site(), LocalProjector(1, d, proj)),),
         R=1,
     )
-    spec = ModelSpec("commuting_cell_2d", "cell_2d", cell, ff_check_depth=3)
-    if not frustration_free(cell, 3):
+    spec = ModelSpec("commuting_cell_2d", cell, CELL_FF_DEPTH)
+    if not frustration_free(cell, CELL_FF_DEPTH):
         raise RuntimeError("commuting cell failed the frustration-freeness check")
     return spec
 
@@ -270,7 +276,7 @@ def save(spec: ModelSpec, path) -> None:
         json.dump(doc, fh)
 
 
-def load(path, ff_check_depth: int = 8) -> ModelSpec:
+def load(path) -> ModelSpec:
     """Load and validate a model file (projector and shape checks included)."""
     with open(path) as fh:
         doc = json.load(fh)
@@ -291,7 +297,7 @@ def load(path, ff_check_depth: int = 8) -> ModelSpec:
             except ValueError as err:
                 raise ValueError(f"{path}: {err}") from None
             payload = ChainModel(d=d, P=P, P_L=P_L, P_R=P_R)
-            depth = min(ff_check_depth, 8 if d <= 3 else 6)
+            depth = CHAIN_FF_DEPTH if d <= 3 else 6
         elif kind == "cell_2d":
             if "R" not in doc or "terms" not in doc:
                 raise ValueError(f"{path}: missing field 'R' or 'terms'")
@@ -308,12 +314,12 @@ def load(path, ff_check_depth: int = 8) -> ModelSpec:
                     raise ValueError(f"{path}: terms[{i}]: {err}") from None
                 terms.append((shape, proj))
             payload = InteractionCell(d=d, terms=tuple(terms), R=int(doc["R"]))
-            depth = min(ff_check_depth, 3)
+            depth = CELL_FF_DEPTH
         else:
             raise ValueError(f"{path}: unknown kind {kind!r}")
     except (AttributeError, KeyError, TypeError) as err:  # a missing or mistyped field
         raise ValueError(f"{path}: malformed model file ({err})") from None
-    spec = ModelSpec(name, kind, payload, depth)
+    spec = ModelSpec(name, payload, depth)
     if not frustration_free(payload, depth):
         raise ValueError(f"{path}: model failed the frustration-freeness check")
     return spec

@@ -20,11 +20,12 @@ are sparse matrices or ndarrays, never matrix-free, and nothing larger than
 DENSE_MAX_DIM is densified. ``_eigsh`` is the one ARPACK call: seeded, on one
 BLAS thread, stopped at LANCZOS_RTOL for a gap, its scale and the rewrite
 margin, and at machine precision otherwise (certificate constants, margin
-scales, the Cholesky-certified margin). Tolerances are module constants. Real
-solves rerun bit for bit, but complex ARPACK (``znaupd``) on a degenerate
-largest eigenvalue, as in the 2D scale of ``prop2d_margin``, has been seen
-to change in its last bits from call to call. No other module diagonalizes
-or factors a matrix.
+scales, the Cholesky-certified margin). Tolerances are module constants.
+Solves do not always rerun bit for bit: on a degenerate largest eigenvalue,
+as in the 2D scale of ``prop2d_margin``, ARPACK has been seen to change in
+its last bits, real (``dsaupd``) and complex (``znaupd``) alike, from
+process to process and from call to call, on one BLAS thread. No other
+module diagonalizes or factors a matrix.
 """
 
 from __future__ import annotations
@@ -89,19 +90,24 @@ class GapReport:
 class GapProfile:
     """Open-boundary gap data of a chain model at window size n.
 
-    ``bulk`` is the bulk gap at n sites; ``bulk_list``, ``left`` and
-    ``right`` collect the bulk / left-boundary / right-boundary gaps for
-    all lengths n' = 2..n (index 0 is n' = 2). ``edge_min`` is the
-    boundary gap min(1, min over n' <= n of left and right gaps).
+    ``bulk_list``, ``left`` and ``right`` collect the bulk / left-boundary /
+    right-boundary gaps for all lengths n' = 2..n (index 0 is n' = 2), so
+    n = len(bulk_list) + 1. ``edge_min`` is the boundary gap min(1, min over
+    n' <= n of left and right gaps).
     """
 
-    n: int
-    bulk: float
     left: tuple[float, ...]
     right: tuple[float, ...]
-    edge_min: float
     bulk_list: tuple[float, ...]
     boundary_trivial: bool
+
+    @property
+    def n(self) -> int:
+        return len(self.bulk_list) + 1
+
+    @property
+    def edge_min(self) -> float:
+        return self.edge_min_at(self.n)
 
     def edge_min_at(self, k: int) -> float:
         """The boundary gap restricted to lengths n' <= k (1 when k < 2)."""
@@ -110,13 +116,6 @@ class GapProfile:
         count = min(k - 1, len(self.left))
         values = self.left[:count] + self.right[:count]
         return min(1.0, min(values)) if values else 1.0
-
-    def bulk_min_at(self, k: int) -> float:
-        """min over 2 <= n' <= k of the bulk gaps (+inf when k < 2)."""
-        if k < 1:
-            raise ValueError(f"need k >= 1, got {k}")
-        values = self.bulk_list[: min(k - 1, len(self.bulk_list))]
-        return min(values) if values else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +542,5 @@ def gap_profile(model: ChainModel, n: int) -> GapProfile:
     left = bulk_list if model.P_L.is_zero else gaps(left_model, chain_kernels(left_model, n))
     right = bulk_list if model.P_R.is_zero else gaps(right_model, _closed(right_model, bulk_states))
     return GapProfile(
-        n=n,
-        bulk=bulk_list[-1],
-        left=left,
-        right=right,
-        edge_min=min(1.0, min(left + right)),
-        bulk_list=bulk_list,
-        boundary_trivial=model.boundary_trivial,
+        left=left, right=right, bulk_list=bulk_list, boundary_trivial=model.boundary_trivial
     )

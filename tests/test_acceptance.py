@@ -162,7 +162,7 @@ def test_criterion_06_gapless_chain_never_certifies(singlet_spec, singlet_profil
         assert singlet_profile.bulk_list[m - 2] == pytest.approx(expected, abs=1e-8)
     for n in range(4, 11):
         weak = certify_thm1(singlet_profile, n)
-        strong = certify_thm2(singlet_spec.payload, singlet_profile, n)
+        strong = certify_thm2(singlet_profile, n)
         assert weak.verdict == "inconclusive", (n, weak.local_gap, weak.threshold)
         assert strong.verdict == "inconclusive", (n, strong.local_gap, strong.threshold)
 

@@ -307,6 +307,13 @@ class TestCoarseGrainCommand:
         )
         assert code == EXIT_ERROR
 
+    def test_two_d_refuses_m2(self, capsys):
+        code = main(["coarse-grain", "--model", "commuting2d", "--R", "1", "--two-d", "--m2", "3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert "--m2" in captured.err
+
 
 class TestReproducibility:
     def test_no_timestamp_byte_identical(self, capsys):

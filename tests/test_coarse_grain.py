@@ -224,7 +224,6 @@ class TestEffective1d:
     def test_positive_lambda_required(self):
         with pytest.raises(ValueError, match="lambda_min"):
             EffectiveModel1D(
-                metaspin_dim=2,
                 P_eff=LocalProjector.zero(2, 2),
                 lambda_min=0.0,
                 lambda_max=1.0,

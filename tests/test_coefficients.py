@@ -58,7 +58,7 @@ class TestCoeffs1D:
 
     def test_validation_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):
-            Deformation1D(n=4, x=1.0, c=(1.0, 2.0, 3.0))
+            Deformation1D(c=(1.0, 2.0, 3.0))
 
 
 class TestThreshold1D:

@@ -111,11 +111,8 @@ def regrouped_difference_residual(model, m, n, seed=0) -> float:
 
 def synthetic_profile(bulk_list, left, right, boundary_trivial=False) -> GapProfile:
     return GapProfile(
-        n=len(bulk_list) + 1,
-        bulk=bulk_list[-1],
         left=tuple(left),
         right=tuple(right),
-        edge_min=min(1.0, min(left + right)),
         bulk_list=tuple(bulk_list),
         boundary_trivial=boundary_trivial,
     )
@@ -180,26 +177,38 @@ class TestCertifyThm2:
         model = random_chain_d3_boundary.payload
         profile = gap_profile(model, 4)
         plain = certify_thm1(profile, 4)
-        strong = certify_thm2(model, profile, 4)
+        strong = certify_thm2(profile, 4)
         assert strong.local_gap >= plain.local_gap - 1e-15
         assert strong.bound >= plain.bound - 1e-15
         assert strong.threshold == plain.threshold
 
-    def test_short_edge_dip_averaged_out(self, random_chain_d3_boundary):
+    def test_short_edge_dip_averaged_out(self):
         # a small gap at the shortest edge window hurts the plain minimum
         # but only enters the strong criterion through weighted averages
-        model = random_chain_d3_boundary.payload
         profile = synthetic_profile((1.0, 0.9, 0.8), (0.2, 0.9, 0.9), (0.2, 0.9, 0.9))
         plain = certify_thm1(profile, 4)
-        strong = certify_thm2(model, profile, 4)
+        strong = certify_thm2(profile, 4)
         assert plain.local_gap == pytest.approx(0.2)
         assert strong.local_gap > plain.local_gap + 0.01
+
+    def test_one_sided_chain_bare_edge_gap_is_one(self, random_chain_d3_boundary):
+        # only P_L is nonzero: e_0 = 1 enters the averages, never +inf
+        model = replace(random_chain_d3_boundary.payload, P_R=LocalProjector.zero(1, 3))
+        n = 4
+        profile = gap_profile(model, n)
+        assert not profile.boundary_trivial
+        cert = certify_thm2(profile, n)
+        c = coeffs_1d(n, optimal_x(n)[0]).c
+        e = [1.0] + [min(lg, rg) for lg, rg in zip(profile.left, profile.right)][: n - 2]
+        want = sum(w * g for w, g in zip(c, e)) / sum(c)
+        assert math.isfinite(cert.constants["edge_averages"][0])
+        assert cert.constants["edge_averages"][0] == pytest.approx(want, rel=1e-14)
 
     def test_mode_controls_x(self, random_chain_d3_boundary):
         model = random_chain_d3_boundary.payload
         profile = gap_profile(model, 4)
-        exact = certify_thm2(model, profile, 4, mode="exact")
-        asym = certify_thm2(model, profile, 4, mode="asymptotic")
+        exact = certify_thm2(profile, 4, mode="exact")
+        asym = certify_thm2(profile, 4, mode="asymptotic")
         assert exact.constants["x"] == pytest.approx(optimal_x(4)[0])
         assert asym.constants["x"] == pytest.approx(SQRT6)
 
@@ -207,9 +216,9 @@ class TestCertifyThm2:
         model = random_chain_d3_boundary.payload
         profile = gap_profile(model, 4)
         with pytest.raises(ValueError):
-            certify_thm2(model, profile, 3)
+            certify_thm2(profile, 3)
         with pytest.raises(ValueError):
-            certify_thm2(model, profile, 5)
+            certify_thm2(profile, 5)
 
 
 class TestCertifyPeriodic:
@@ -236,7 +245,6 @@ class TestCertifyPeriodic:
 class TestCertifyQuasi1d:
     def test_unit_block_constants(self, commuting_cell_spec):
         eff = EffectiveModel1D(
-            metaspin_dim=2,
             P_eff=LocalProjector.zero(2, 2),
             lambda_min=1.0,
             lambda_max=1.0,
@@ -424,11 +432,11 @@ class TestOperatorChecks:
 
     def test_interchange_identity(self, random_chain_d2):
         coeffs = coeffs_1d(4, SQRT6)
-        assert interchange_residual(random_chain_d2.payload, 8, 4, coeffs) < 1e-12
+        assert interchange_residual(random_chain_d2.payload, 8, coeffs) < 1e-12
 
     def test_interchange_matfree(self, random_chain_d2):
         coeffs = coeffs_1d(4, SQRT6)
-        assert interchange_residual(random_chain_d2.payload, 8, 4, coeffs, seed=7) < 1e-12
+        assert interchange_residual(random_chain_d2.payload, 8, coeffs, seed=7) < 1e-12
 
     def test_interchange_catches_broken_window(self, monkeypatch, random_chain_d2):
         coeffs = coeffs_1d(4, SQRT6)
@@ -438,11 +446,11 @@ class TestOperatorChecks:
             return window_from_images(l, c[:-1], images)
 
         monkeypatch.setattr(criteria, "window_from_images", drop_last_term)
-        assert interchange_residual(random_chain_d2.payload, 8, 4, coeffs, seed=7) > 1e-12
+        assert interchange_residual(random_chain_d2.payload, 8, coeffs, seed=7) > 1e-12
 
     def test_rewrite_margin_nonnegative(self, random_chain_d2):
         coeffs = coeffs_1d(4, SQRT6)
-        margin, scale = rewrite_margin(random_chain_d2.payload, 8, 4, coeffs)
+        margin, scale = rewrite_margin(random_chain_d2.payload, 8, coeffs)
         assert scale >= 1.0
         assert margin >= -1e-9 * scale
 
@@ -455,7 +463,7 @@ class TestOperatorChecks:
         model = request.getfixturevalue(chain).payload
         coeffs = coeffs_1d(n, SQRT6)
         dense_margin, dense_scale = kron_rewrite_margin(model, m, n, coeffs)
-        free_margin, free_scale = rewrite_margin(model, m, n, coeffs)
+        free_margin, free_scale = rewrite_margin(model, m, coeffs)
         assert free_margin == pytest.approx(dense_margin, abs=1e-9 * dense_scale)
         assert free_scale == pytest.approx(dense_scale, rel=1e-4)
 
@@ -481,15 +489,13 @@ class TestOperatorChecks:
     def test_rewrite_margin_window_bounds(self, random_chain_d2):
         coeffs = coeffs_1d(4, SQRT6)
         with pytest.raises(ValueError):
-            rewrite_margin(random_chain_d2.payload, 6, 4, coeffs)  # n > m/2
+            rewrite_margin(random_chain_d2.payload, 6, coeffs)  # n > m/2
 
     def test_window_gap_margins(self, random_chain_d2):
         model = random_chain_d2.payload
         coeffs = coeffs_1d(4, SQRT6)
         profile = gap_profile(model, 4)
-        windows = window_gap_margins(
-            model, 8, 4, coeffs, profile.bulk_list[2], profile.edge_min_at(3)
-        )
+        windows = window_gap_margins(model, 8, coeffs, profile.bulk_list[2], profile.edge_min_at(3))
         assert len(windows) == 9
         regimes = [w["regime"] for w in windows]
         assert regimes == ["bulk"] * 5 + ["edge"] * 4

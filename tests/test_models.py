@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from ffgap.models import (
+    CELL_FF_DEPTH,
+    CHAIN_FF_DEPTH,
     ModelSpec,
     aklt,
     commuting_cell_2d,
@@ -19,12 +21,13 @@ from ffgap.models import (
 )
 from ffgap.operators import (
     ChainModel,
+    InteractionCell,
     LocalProjector,
     LocalSum,
     chain_hamiltonian,
     region_hamiltonian,
 )
-from ffgap.lattice import box_region
+from ffgap.lattice import InteractionShape, box_region
 from ffgap.spectra import spectral_gap
 
 
@@ -77,10 +80,25 @@ class TestFrustrationFree:
             raise AssertionError("assembled a window for a frustration-freeness check")
 
         monkeypatch.setattr(LocalSum, "assemble", refuse)
-        assert aklt(ff_check_depth=10).ff_check_depth == 10
+        assert aklt().ff_check_depth == CHAIN_FF_DEPTH
         assert random_ff(2, 1, 0, seed=5, ff_check_depth=10).regenerations == 0
         assert frustration_free(random_ff(3, 1, 1, 108, ff_check_depth=4).payload, 7)
-        assert commuting_cell_2d().ff_check_depth == 3
+        assert commuting_cell_2d().ff_check_depth == CELL_FF_DEPTH
+
+    def test_cell_checked_on_boxes_of_both_orientations(self, tmp_path):
+        # one chain_pair bond of rank 6 on C^3 (x) C^3: its 3 x 1 and 3 x 2
+        # boxes have an empty kernel, while every box a x b with a <= b
+        # below the dense cap has a full one (no bond fits, or disjoint bonds)
+        rng = np.random.default_rng(5)
+        q = np.linalg.qr(rng.standard_normal((9, 6)) + 1j * rng.standard_normal((9, 6)))[0]
+        cell = InteractionCell(
+            d=3, terms=((InteractionShape.chain_pair(), LocalProjector(2, 3, q @ q.conj().T)),), R=2
+        )
+        assert not frustration_free(cell, CELL_FF_DEPTH)
+        path = tmp_path / "frustrated_cell.json"
+        save(ModelSpec("frustrated_cell", cell, 0), path)
+        with pytest.raises(ValueError, match="failed the frustration-freeness check"):
+            load(path)
 
     def test_fixture_regenerations_unchanged(self, random_chain_d2, random_chain_d3_boundary):
         assert random_chain_d2.regenerations == 0
@@ -158,22 +176,18 @@ class TestCommutingCell:
 
 
 class TestModelSpecValidation:
-    def test_unknown_kind_rejected(self, aklt_spec):
-        with pytest.raises(ValueError):
-            ModelSpec("x", "lattice_3d", aklt_spec.payload, 4)
-
-    def test_payload_kind_mismatch_rejected(self, aklt_spec, commuting_cell_spec):
-        with pytest.raises(ValueError):
-            ModelSpec("x", "chain", commuting_cell_spec.payload, 4)
-        with pytest.raises(ValueError):
-            ModelSpec("x", "cell_2d", aklt_spec.payload, 4)
+    def test_payload_type_checked(self, aklt_spec, commuting_cell_spec):
+        assert ModelSpec("x", aklt_spec.payload, 4).kind == "chain"
+        assert ModelSpec("x", commuting_cell_spec.payload, 4).kind == "cell_2d"
+        with pytest.raises(ValueError, match="ChainModel or an InteractionCell"):
+            ModelSpec("x", aklt_spec.payload.P, 4)
 
 
 class TestModelFiles:
     def test_chain_round_trip_exact(self, tmp_path, random_chain_d3_boundary):
         path = tmp_path / "chain.json"
         save(random_chain_d3_boundary, path)
-        loaded = load(path, ff_check_depth=4)
+        loaded = load(path)
         orig = random_chain_d3_boundary.payload
         assert loaded.kind == "chain"
         assert loaded.name == random_chain_d3_boundary.name
@@ -201,7 +215,7 @@ class TestModelFiles:
         spec = request.getfixturevalue(fixture)
         path = tmp_path / "chain.json"
         save(spec, path)
-        loaded = load(path, ff_check_depth=4).payload
+        loaded = load(path).payload
         assert loaded.P.matrix.dtype == dtype
         assert np.array_equal(loaded.P.matrix, spec.payload.P.matrix)
         # every entry is still a [re, im] pair, also for real projectors
@@ -272,4 +286,4 @@ class TestModelFiles:
         path = tmp_path / "frustrated.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="frustration-freeness"):
-            load(path, ff_check_depth=4)
+            load(path)

@@ -242,14 +242,14 @@ class TestSubchainOperators:
 
     def test_window_too_long_rejected(self, random_chain_d2):
         with pytest.raises(ValueError):
-            window_gap_margins(random_chain_d2.payload, 6, 4, coeffs_1d(4, SQRT6), 1.0, 1.0)
+            window_gap_margins(random_chain_d2.payload, 6, coeffs_1d(4, SQRT6), 1.0, 1.0)
 
     def test_support_operator_matches_full(self, random_chain_d3_boundary):
         model = random_chain_d3_boundary.payload
         m, n = 6, 3
         coeffs = coeffs_1d(n, SQRT6)
         ring = enlarged_ring(model, m)
-        windows = window_gap_margins(model, m, n, coeffs, 0.3, 0.2)
+        windows = window_gap_margins(model, m, coeffs, 0.3, 0.2)
         for l in (1, 5, 6, 7, 3):
             full = sum(
                 coeffs.c[k] * term_operator(ring, (l + k - 1) % (m + 1)).toarray()

@@ -141,7 +141,7 @@ class TestPsdMargin:
         assert len(seen) == 5
         # the rewrite margin's scale and margin are spectra's solves too
         before = len(seen)
-        rewrite_margin(random_chain_d2.payload, 8, 4, coeffs_1d(4, SQRT6))
+        rewrite_margin(random_chain_d2.payload, 8, coeffs_1d(4, SQRT6))
         assert len(seen) == before + 2
         assert all(sizes == [1] * len(pools) for sizes in seen)
         assert [getter() for _, getter in pools] == [2] * len(pools)
@@ -172,7 +172,6 @@ class TestGapProfile:
         assert isinstance(profile, GapProfile)
         assert profile.n == 5
         assert len(profile.bulk_list) == 4  # lengths 2..5
-        assert profile.bulk == profile.bulk_list[-1]
         assert profile.boundary_trivial
         # trivial boundary: left/right families coincide with the bulk gaps
         assert profile.left == profile.bulk_list
@@ -190,11 +189,6 @@ class TestGapProfile:
         profile = gap_profile(singlet_spec.payload, 6)
         for m, gamma in zip(range(2, 7), profile.bulk_list):
             assert gamma == pytest.approx(1.0 - math.cos(math.pi / m), abs=1e-10)
-
-    def test_bulk_min_at_prefix(self, singlet_spec):
-        profile = gap_profile(singlet_spec.payload, 6)
-        assert profile.bulk_min_at(3) == pytest.approx(min(profile.bulk_list[:2]))
-        assert math.isinf(profile.bulk_min_at(1))
 
     def test_mirror_symmetric_model_has_equal_edges(self, random_chain_d3_boundary):
         profile = gap_profile(random_chain_d3_boundary.payload, 4)
@@ -253,7 +247,7 @@ def random_chain_d2_left(random_chain_d2):
     v /= np.linalg.norm(v)
     P_L = LocalProjector(1, 2, np.outer(v, v.conj()))
     model = replace(random_chain_d2.payload, P_L=P_L)
-    return ModelSpec("random_chain_d2_left", "chain", model, ff_check_depth=0)
+    return ModelSpec("random_chain_d2_left", model, ff_check_depth=0)
 
 
 # chains are compared with a full dense ED up to this dimension
@@ -561,7 +555,7 @@ class TestRealArithmetic:
         assert all(dtype == np.float64 for _, _, dtype in seen)
         # the rewrite margin's scale and margin solves follow the ring's dtype
         seen.clear()
-        rewrite_margin(aklt_spec.payload, 6, 3, coeffs_1d(3, SQRT6))
+        rewrite_margin(aklt_spec.payload, 6, coeffs_1d(3, SQRT6))
         assert [dtype for _, _, dtype in seen] == [np.float64, np.float64]
 
 
