@@ -118,16 +118,6 @@ class EffectiveModel2D:
 # helpers
 # ---------------------------------------------------------------------------
 
-def inflate_range(R: int, m1: int) -> int:
-    """Smallest divisor of m1 that is >= R (the strip width actually used)."""
-    if not 1 <= R <= m1:
-        raise ValueError(f"need 1 <= R <= m1, got R={R}, m1={m1}")
-    for candidate in range(R, m1 + 1):
-        if m1 % candidate == 0:
-            return candidate
-    raise AssertionError("unreachable: m1 divides itself")
-
-
 def _strip_of(site: Coord, R: int) -> int:
     return (site[0] - 1) // R + 1
 
@@ -160,11 +150,10 @@ def group_1d(cell: InteractionCell, m1: int, m2: int, R: int) -> list[sp.csr_mat
     """Block operators of the strip grouping, embedded on the full box.
 
     Returns the m-1 operators (m = m1/R strips); their sum reconstructs
-    region_hamiltonian(cell, box) exactly. Raises when R does not divide m1
-    (callers inflate R via inflate_range first).
+    region_hamiltonian(cell, box) exactly. Raises when R does not divide m1.
     """
     if m1 % R != 0:
-        raise ValueError(f"strip width {R} does not divide m1 = {m1}; inflate R first")
+        raise ValueError(f"strip width {R} does not divide m1 = {m1}")
     m = m1 // R
     if m < 2:
         raise ValueError(f"need at least two strips, got m = {m}")
@@ -351,12 +340,17 @@ def group_2d(cell: InteractionCell, m1: int, m2: int, R: int = 1) -> dict[Coord,
     return {p: LocalSum((cell.d,) * len(region), terms).assemble() for p, terms in blocks.items()}
 
 
-def plaquette_model_hamiltonian(eff: EffectiveModel2D, m1: int, m2: int) -> sp.csr_matrix:
-    """Sum of the effective plaquette projector over all rhomboid plaquettes."""
+def plaquette_model_sum(eff: EffectiveModel2D, m1: int, m2: int) -> LocalSum:
+    """The effective plaquette projector at every rhomboid plaquette, in ``plaquette_set`` order."""
     _, centers = rhomboid_sites(m1, m2, eff.R)
     region = SiteRegion(centers)
     terms = [
         (tuple(map(region.index, plaquette_corner_boxes(p, eff.R))), eff.h_plaquette.matrix, 1.0)
         for p in plaquette_set(m1, m2, eff.R).plaquettes
     ]
-    return LocalSum((eff.metaspin_dim,) * len(region), terms).assemble()
+    return LocalSum((eff.metaspin_dim,) * len(region), terms)
+
+
+def plaquette_model_hamiltonian(eff: EffectiveModel2D, m1: int, m2: int) -> sp.csr_matrix:
+    """``plaquette_model_sum`` assembled to CSR."""
+    return plaquette_model_sum(eff, m1, m2).assemble()

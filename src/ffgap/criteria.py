@@ -13,13 +13,14 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .coarse_grain import (
     EffectiveModel1D,
     EffectiveModel2D,
     effective_1d,
     effective_2d,
-    plaquette_model_hamiltonian,
+    plaquette_model_sum,
 )
 from .coefficients import (
     SQRT6,
@@ -31,7 +32,7 @@ from .coefficients import (
     threshold_2d,
     weight_table,
 )
-from .lattice import collar_centers, patch, plaquette_set, rhomboid_sites
+from .lattice import PlaquetteSet, collar_centers, patch, plaquette_distance, plaquette_set, rhomboid_sites
 from .models import frustration_free, random_cell_2d, random_ff
 from .operators import (
     ChainModel,
@@ -39,7 +40,6 @@ from .operators import (
     LocalSum,
     chain_hamiltonian,
     enlarged_ring,
-    patch_operator,
     q_and_f,
 )
 from .spectra import (
@@ -237,6 +237,8 @@ def certify_quasi1d(
     """
     window = quasi1d_window(n)
     eff = effective if effective is not None else effective_1d(cell, m2, R)
+    if (eff.m2, eff.R) != (m2, R):
+        raise ValueError(f"effective model is for m2={eff.m2}, R={eff.R}, not m2={m2}, R={R}")
     missing = [l for l in window if l not in gaps]
     if missing:
         raise ValueError(f"missing gap entries for window sizes {missing}")
@@ -256,7 +258,6 @@ def certify_quasi1d(
             "C1": c1,
             "C2": c2,
             "metaspin_dim": eff.metaspin_dim,
-            "R_used": eff.R,
         },
         provenance=tuple(
             {"kind": "window", "strips": l, "gap": float(gaps[l])} for l in window
@@ -311,6 +312,8 @@ def certify_2d(
     """
     pairs = two_d_window(n)
     eff = effective if effective is not None else effective_2d(cell, R)
+    if eff.R != R:
+        raise ValueError(f"effective model is for R={eff.R}, not R={R}")
     wt = weight_table(n)
     cmid = coeffs_2d(n).at(n // 2)
     missing = [p for p in pairs if p not in gaps]
@@ -400,26 +403,37 @@ def hsquared_identity_residual(model: ChainModel, m: int) -> float:
     return float(np.linalg.norm((H2 - H - Q - F).data) / np.linalg.norm(H2.data))
 
 
-def term_images(ring: LocalSum, v: np.ndarray) -> list[np.ndarray]:
-    """[h_1 v, ..., h_{m+1} v] (zero vectors for absent boundary terms)."""
-    return [ring.apply_term(t, v) for t in range(len(ring.terms))]
+def term_images(ring: LocalSum, v: np.ndarray) -> np.ndarray:
+    """The stacked images [h_1 v, ..., h_{m+1} v] (zero rows for absent boundary terms)."""
+    return np.stack([ring.apply_term(t, v) for t in range(len(ring.terms))])
 
 
-def window_from_images(l: int, c: tuple[float, ...], images: list[np.ndarray]) -> np.ndarray:
+def window_from_images(l: int, c: tuple[float, ...], images: np.ndarray) -> np.ndarray:
     """B_{n,l} v = sum_a c_a h_{l+a} v (1-based cyclic l), from ``term_images(ring, v)``."""
     period = len(images)
     return sum(weight * images[(l + a - 1) % period] for a, weight in enumerate(c))
 
 
-def apply_q_plus_f(ring: LocalSum, images: list[np.ndarray]) -> np.ndarray:
-    """(Q+F)v from the term images ``term_images(ring, v)``.
+def apply_pairs(ring: LocalSum, W: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """sum_ij W[i, j] h_i h_j v from the term images ``term_images(ring, v)``.
 
-    Q+F is the sum of h_i h_j over all ordered pairs i != j, so with
-    T v = sum_j h_j v it is sum_i h_i (T v - h_i v): one more
-    application per term.
+    Grouped by the term applied last, this is sum_i h_i (W @ images)_i: one
+    more application per term.
     """
-    total = np.sum(images, axis=0)
-    return sum(ring.apply_term(t, total - image) for t, image in enumerate(images))
+    return sum(ring.apply_term(t, row) for t, row in enumerate(W @ images))
+
+
+def window_square_table(c: tuple[float, ...], period: int) -> np.ndarray:
+    """Pair table of sum_l B_{n,l}^2 on a ring of ``period`` terms.
+
+    Entry (i, j) is the weight of h_i h_j. Window l has the terms h_{l+a}
+    with weights c_a, so each pair (a, b) adds c_a c_b on the cyclic
+    diagonal j - i = b - a (mod period).
+    """
+    W = np.zeros((period, period))
+    for a, b in itertools.product(range(len(c)), repeat=2):
+        W += c[a] * c[b] * np.roll(np.eye(period), b - a, axis=1)
+    return W
 
 
 def interchange_residual(model: ChainModel, m: int, coeffs: Deformation1D, seed: int = 0) -> float:
@@ -439,26 +453,28 @@ def interchange_residual(model: ChainModel, m: int, coeffs: Deformation1D, seed:
     return worst
 
 
-def rewrite_difference(ring: LocalSum, c: tuple[float, ...], v: np.ndarray) -> np.ndarray:
-    """D v for D = (sum c^2) H + (sum c c') (Q+F) - sum_l B_{n,l}^2.
+def rewrite_matvecs(ring: LocalSum, c: tuple[float, ...]):
+    """Matvecs of the rewrite inequality's dominating side and of its difference D.
 
-    Grouped by the term applied last, sum_l B_l^2 v = sum_i h_i (sum_a c_a
-    B_{i-a} v), and (Q+F) v = sum_i h_i (T v - h_i v) with T v = sum_j h_j v.
-    So after the term images each h_i is applied once more: 2(m+1) term
-    applications in all.
+    Both are (sum c^2) H + sum_ij W[i, j] h_i h_j. Q+F is the sum of h_i h_j
+    over all ordered pairs i != j, so the dominating side has
+    W = (sum c c') (1 - I), and D = (sum c^2) H + (sum c c') (Q+F) -
+    sum_l B_{n,l}^2 subtracts ``window_square_table``. Each matvec applies
+    every term twice: once for the term images, once in ``apply_pairs``.
     """
     sum_c2, sum_cc = _coefficient_sums(c)
-    images = term_images(ring, v)
-    period = len(images)
-    total = np.sum(images, axis=0)
-    windows = [window_from_images(l, c, images) for l in range(1, period + 1)]
-    out = sum_c2 * total
-    for i, image in enumerate(images):
-        inner = sum_cc * (total - image)
-        for a, weight in enumerate(c):
-            inner -= weight * windows[(i - a) % period]
-        out += ring.apply_term(i, inner)
-    return out
+    period = len(ring.terms)
+    dominating = sum_cc * (1.0 - np.eye(period))
+    difference = dominating - window_square_table(c, period)
+
+    def pair_form(W):
+        def matvec(v):
+            images = term_images(ring, v)
+            return sum_c2 * images.sum(axis=0) + apply_pairs(ring, W, images)
+
+        return matvec
+
+    return pair_form(dominating), pair_form(difference)
 
 
 def rewrite_margin(model: ChainModel, m: int, coeffs: Deformation1D) -> tuple[float, float]:
@@ -467,30 +483,19 @@ def rewrite_margin(model: ChainModel, m: int, coeffs: Deformation1D) -> tuple[fl
     The inequality bounds sum_l B_{n,l}^2 by (sum c^2) H + (sum c c') (Q+F);
     the margin is the least eigenvalue of the difference D and the scale is
     the largest eigenvalue of the dominating side (at least 1). Both come
-    from spectra's Lanczos routines on matrix-free operators of the m-site
-    chain, in the ring's dtype (real for real models): the scale from
-    ``_largest_eigenvalue``, the margin from the shifted solve of
+    from spectra's Lanczos routines on the matrix-free ``rewrite_matvecs``
+    of the m-site chain, in the ring's dtype (real for real models): the
+    scale from ``_largest_eigenvalue``, the margin from the shifted solve of
     ``_least_eigenvalue`` stopped at LANCZOS_RTOL, which raises when its
-    eigenpair residual is too large. Each matvec of D
-    applies every term once for the term images and once more for the rest
-    (``rewrite_difference``), 2(m+1) term applications in all.
+    eigenpair residual is too large.
     """
     n = coeffs.n
     if not 3 <= n <= m / 2:
         raise ValueError(f"need 3 <= n <= m/2, got n={n}, m={m}")
-    sum_c2, sum_cc = _coefficient_sums(coeffs.c)
     ring = enlarged_ring(model, m)
-    dim = ring.dim
-
-    def rhs_matvec(v):
-        images = term_images(ring, v)
-        return sum_c2 * np.sum(images, axis=0) + sum_cc * apply_q_plus_f(ring, images)
-
-    def difference(v):
-        return rewrite_difference(ring, coeffs.c, v)
-
-    scale = max(1.0, _largest_eigenvalue(rhs_matvec, dim, ring.dtype))
-    return _least_eigenvalue(difference, dim, ring.dtype, scale, tol=LANCZOS_RTOL)[0], scale
+    dominating, difference = rewrite_matvecs(ring, coeffs.c)
+    scale = max(1.0, _largest_eigenvalue(dominating, ring.dim, ring.dtype))
+    return _least_eigenvalue(difference, ring.dim, ring.dtype, scale, tol=LANCZOS_RTOL)[0], scale
 
 
 def window_gap_margins(
@@ -585,6 +590,24 @@ def verify_chain_instance(
     return record
 
 
+def patch_square_table(ambient: PlaquetteSet, n: int) -> np.ndarray:
+    """Pair table of the sum over collar patches of B^2, in ``ambient.plaquettes`` order.
+
+    Patch B at a collar center has the member plaquettes p with weights
+    c(d(center, p)), so entry (p, q) sums c(d(center, p)) c(d(center, q))
+    over the centers whose patch holds both p and q.
+    """
+    c2d = coeffs_2d(n)
+    index = {p: i for i, p in enumerate(ambient.plaquettes)}
+    W = np.zeros((len(index), len(index)))
+    for center in collar_centers(ambient, n):
+        patch_ = patch(n, center, ambient)
+        members = [index[p] for p in patch_.members]
+        weights = [c2d.at(plaquette_distance(patch_, p)) for p in patch_.members]
+        W[np.ix_(members, members)] += np.outer(weights, weights)
+    return W
+
+
 def prop2d_margin(
     cell: InteractionCell,
     n: int = 2,
@@ -596,11 +619,15 @@ def prop2d_margin(
 
     Checks D = H^2 + beta H - alpha * sum over collar patches of B^2 >= 0 on
     the rhomboid's metaspin space, summing patches at every collar center.
-    ``lambda_max_H`` is one Lanczos solve, ``scale`` = max(1, lambda_max_H^2
-    + beta lambda_max_H), and ``margin`` the least eigenvalue of D from
-    ``spectra.certified_margin`` (Lanczos, certified by one Cholesky
-    factorization; dense when that fails). Passes when margin >=
-    -MARGIN_RTOL * scale. Rhomboids above DENSE_MAX_DIM are refused
+    With the plaquette terms h_p, each assembled once, H^2 is the sum of
+    h_p h_q over all pairs and the patch squares are sum_pq W[p, q] h_p h_q
+    with W from ``patch_square_table``, so D = beta H +
+    sum_pq (1 - alpha W[p, q]) h_p h_q. ``lambda_max_H`` is one Lanczos
+    solve, ``scale`` = max(1, lambda_max_H^2 + beta lambda_max_H), and
+    ``margin`` the least
+    eigenvalue of D from ``spectra.certified_margin`` (Lanczos, certified by
+    one Cholesky factorization; dense when that fails). Passes when margin
+    >= -MARGIN_RTOL * scale. Rhomboids above DENSE_MAX_DIM are refused
     before anything is assembled.
     """
     eff = effective if effective is not None else effective_2d(cell, cell.R)
@@ -611,15 +638,14 @@ def prop2d_margin(
             f"> {DENSE_MAX_DIM}"
         )
     wt = weight_table(n)
-    c2d = coeffs_2d(n)
-    H = plaquette_model_hamiltonian(eff, m1, m2)
     ambient = plaquette_set(m1, m2, eff.R)
-    centers = collar_centers(ambient, n)
-    patches = (
-        patch_operator(eff.h_plaquette.matrix, patch(n, center, ambient), c2d, eff.metaspin_dim)
-        for center in centers
-    )
-    diff = (H @ H) + wt.beta * H - wt.alpha * sum(B @ B for B in patches)
+    M = 1.0 - wt.alpha * patch_square_table(ambient, n)
+    model = plaquette_model_sum(eff, m1, m2)
+    H = model.assemble()
+    h = [LocalSum(model.dims, (term,)).assemble() for term in model.terms]
+    # [h_1 ... h_N] (M x I) [h_1; ...; h_N] = sum_pq M[p, q] h_p h_q
+    pairs = sp.kron(M, sp.identity(H.shape[0]), format="csr") @ sp.vstack(h)
+    diff = wt.beta * H + sp.hstack(h) @ pairs
     lam_h = _largest_eigenvalue(lambda v: H @ v, H.shape[0], H.dtype)
     scale = max(1.0, lam_h ** 2 + wt.beta * lam_h)
     margin = certified_margin(diff, scale)
@@ -627,7 +653,7 @@ def prop2d_margin(
         "margin": margin,
         "scale": scale,
         "pass": margin >= -MARGIN_RTOL * scale,
-        "collar_size": len(centers),
+        "collar_size": len(collar_centers(ambient, n)),
         "lambda_max_H": lam_h,
     }
 

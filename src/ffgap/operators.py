@@ -23,16 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .coefficients import Deformation2D
-from .lattice import (
-    InteractionShape,
-    Patch,
-    SiteRegion,
-    plaquette_corner_boxes,
-    plaquette_distance,
-    rhomboid_sites,
-    validate_cell_shapes,
-)
+from .lattice import InteractionShape, SiteRegion, validate_cell_shapes
 
 HERMITIAN_RTOL = 1e-12
 IDEMPOTENT_RTOL = 1e-10
@@ -326,35 +317,3 @@ def q_and_f(model: ChainModel, m: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         if cyclic_distance(i, j, period) >= 2
     )
     return Q, F
-
-
-# ---------------------------------------------------------------------------
-# 2D patch operators
-# ---------------------------------------------------------------------------
-
-def patch_operator(
-    h_plaquette: np.ndarray,
-    patch: Patch,
-    coeffs: Deformation2D,
-    metaspin_dim: int,
-) -> sp.csr_matrix:
-    """Deformed patch operator B = sum over patch members of c(d) * h_plaquette.
-
-    ``h_plaquette`` acts on the four corner metaspins of a plaquette,
-    ordered lexicographically by box center; it is placed at every member
-    of the patch with the ring weight c(distance from the patch center).
-    The operator lives on the metaspin space of the patch's ambient
-    geometry. An empty patch gives the zero operator.
-    """
-    ambient = patch.ambient
-    _, centers = rhomboid_sites(ambient.m1, ambient.m2, ambient.R)
-    region = SiteRegion(centers)
-    terms = [
-        (
-            tuple(map(region.index, plaquette_corner_boxes(p, ambient.R))),
-            h_plaquette,
-            coeffs.at(plaquette_distance(patch, p)),
-        )
-        for p in patch.members
-    ]
-    return LocalSum((metaspin_dim,) * len(region), terms).assemble()

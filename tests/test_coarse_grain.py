@@ -12,7 +12,6 @@ from ffgap.coarse_grain import (
     effective_2d,
     group_1d,
     group_2d,
-    inflate_range,
     plaquette_model_hamiltonian,
 )
 from ffgap.lattice import InteractionShape, box_region, rhomboid_sites
@@ -112,21 +111,6 @@ class TestAgainstDenseReference:
         first, second = effective_2d(cell, R=1), effective_2d(cell, R=1)
         assert (first.lambda_min, first.lambda_max) == (second.lambda_min, second.lambda_max)
         assert np.array_equal(first.h_plaquette.matrix, second.h_plaquette.matrix)
-
-
-class TestInflateRange:
-    def test_divisor_found(self):
-        assert inflate_range(1, 5) == 1
-        assert inflate_range(2, 6) == 2
-        assert inflate_range(3, 8) == 4
-        assert inflate_range(5, 12) == 6
-        assert inflate_range(7, 7) == 7
-
-    def test_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            inflate_range(0, 4)
-        with pytest.raises(ValueError):
-            inflate_range(5, 4)
 
 
 class TestGroup1d:

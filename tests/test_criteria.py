@@ -12,10 +12,13 @@ from scipy.linalg import LinAlgError, cholesky
 from ffgap import criteria, spectra
 from ffgap.coefficients import (
     SQRT6,
+    autocorr_1d,
     coeffs_1d,
+    coeffs_2d,
     optimal_x,
     threshold_1d,
     threshold_2d,
+    weight_bruteforce,
     weight_table,
 )
 from ffgap.coarse_grain import (
@@ -26,7 +29,7 @@ from ffgap.coarse_grain import (
 )
 from ffgap.criteria import (
     SuiteConfig,
-    apply_q_plus_f,
+    apply_pairs,
     certify_2d,
     certify_periodic,
     certify_quasi1d,
@@ -35,17 +38,28 @@ from ffgap.criteria import (
     chiral_exclusion,
     hsquared_identity_residual,
     interchange_residual,
+    patch_square_table,
     prop2d_margin,
-    rewrite_difference,
     rewrite_margin,
+    rewrite_matvecs,
     standard_instance_plan,
     term_images,
     verify_chain_instance,
     verify_inequality_suite,
     window_gap_margins,
+    window_square_table,
+)
+from ffgap.lattice import (
+    SiteRegion,
+    collar_centers,
+    patch,
+    plaquette_corner_boxes,
+    plaquette_distance,
+    plaquette_set,
+    rhomboid_sites,
 )
 from ffgap.models import random_cell_2d
-from ffgap.operators import ChainModel, LocalProjector, enlarged_ring
+from ffgap.operators import ChainModel, LocalProjector, LocalSum, enlarged_ring
 from ffgap.spectra import GapProfile, certified_margin, gap_profile
 
 
@@ -83,10 +97,10 @@ def kron_rewrite_margin(model, m, n, coeffs) -> tuple[float, float]:
 
 
 def regrouped_difference_residual(model, m, n, seed=0) -> float:
-    """Worst relative distance of ``rewrite_difference`` from D v taken term by term.
+    """Worst relative distance of the D matvec of ``rewrite_matvecs`` from D v taken term by term.
 
     The reference squares each window by applying it twice, term by term, so
-    it shares no grouping with the regrouped sum.
+    it shares no grouping with the pair table.
     """
     ring = enlarged_ring(model, m)
     c = coeffs_1d(n, SQRT6).c
@@ -95,16 +109,17 @@ def regrouped_difference_residual(model, m, n, seed=0) -> float:
     def apply_window(l, v):
         return sum(w * ring.apply_term((l + a - 1) % (m + 1), v) for a, w in enumerate(c))
 
+    _, difference = rewrite_matvecs(ring, c)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(3):
         v = rng.standard_normal(ring.dim) + 1j * rng.standard_normal(ring.dim)
         images = term_images(ring, v)
         want = (arr @ arr) * np.sum(images, axis=0)
-        want += (arr[:-1] @ arr[1:]) * apply_q_plus_f(ring, images)
+        want += (arr[:-1] @ arr[1:]) * apply_pairs(ring, 1.0 - np.eye(m + 1), images)
         for l in range(1, m + 2):
             want -= apply_window(l, apply_window(l, v))
-        got = rewrite_difference(ring, c, v)
+        got = difference(v)
         worst = max(worst, float(np.linalg.norm(got - want) / np.linalg.norm(want)))
     return worst
 
@@ -268,6 +283,12 @@ class TestCertifyQuasi1d:
         assert cert.local_gap == pytest.approx(0.1)
         assert cert.verdict == "inconclusive"
 
+    def test_effective_model_for_other_m2_rejected(self, commuting_cell_spec):
+        cell = commuting_cell_spec.payload
+        gaps = {l: 1.0 for l in range(2, 5)}
+        with pytest.raises(ValueError, match="effective model is for m2=1"):
+            certify_quasi1d(cell, 3, 1, 4, gaps, effective=effective_1d(cell, 1, 1))
+
     def test_missing_window_rejected(self, commuting_cell_spec):
         with pytest.raises(ValueError, match=r"missing gap entries.*3"):
             certify_quasi1d(commuting_cell_spec.payload, 1, 1, 4, {2: 1.0, 4: 1.0})
@@ -315,6 +336,12 @@ class TestCertify2d:
         assert cert.bound > 0
         for key in ("alpha", "sigma", "c_mid", "g_2d", "metaspin_dim"):
             assert key in cert.constants
+
+    def test_effective_model_for_other_R_rejected(self, commuting_cell_spec):
+        cell = commuting_cell_spec.payload
+        gaps = {(l1, l2): 10.0 for l1 in (1, 2) for l2 in (1, 2)}
+        with pytest.raises(ValueError, match="effective model is for R=1"):
+            certify_2d(cell, 3, 2, gaps, effective=effective_2d(cell, 1))
 
     def test_window_coverage_required(self, commuting_cell_spec):
         with pytest.raises(ValueError, match="missing gap entries"):
@@ -416,14 +443,65 @@ class TestProp2dMargin:
 
     def test_oversized_rhomboid_rejected_before_assembly(self, monkeypatch):
         cell = random_cell_2d(3, 2, 12).payload  # metaspin 3, 10 boxes: dim 3^10
+        eff = effective_2d(cell, cell.R)
 
         def must_not_assemble(*args, **kwargs):
             raise AssertionError("assembled before the size check")
 
-        monkeypatch.setattr(criteria, "plaquette_model_hamiltonian", must_not_assemble)
-        monkeypatch.setattr(criteria, "patch_operator", must_not_assemble)
+        monkeypatch.setattr(LocalSum, "assemble", must_not_assemble)
         with pytest.raises(ValueError, match="dense-diagonalizable"):
-            prop2d_margin(cell, 2, 1, 3)
+            prop2d_margin(cell, 2, 1, 3, effective=eff)
+
+    @pytest.mark.parametrize(
+        "which, m1, m2",
+        [(0, 1, 3), (1, 3, 1), ("commuting", 1, 3), ("commuting", 3, 1)],
+    )
+    def test_difference_matches_patch_squares(
+        self, monkeypatch, random_cells_2d, commuting_cell_spec, which, m1, m2
+    ):
+        # D against its definition, with each patch operator B assembled from its members
+        spec = commuting_cell_spec if which == "commuting" else random_cells_2d[which]
+        seen = []
+
+        def record(op, scale):
+            seen.append(op)
+            return 0.0
+
+        monkeypatch.setattr(criteria, "certified_margin", record)
+        prop2d_margin(spec.payload, 2, m1, m2)
+        eff = effective_2d(spec.payload, spec.payload.R)
+        H = plaquette_model_hamiltonian(eff, m1, m2)
+        region = SiteRegion(rhomboid_sites(m1, m2, eff.R)[1])
+        ambient = plaquette_set(m1, m2, eff.R)
+        wt, c2d = weight_table(2), coeffs_2d(2)
+        want = H @ H + wt.beta * H
+        for center in collar_centers(ambient, 2):
+            patch_ = patch(2, center, ambient)
+            terms = [
+                (
+                    tuple(map(region.index, plaquette_corner_boxes(p, eff.R))),
+                    eff.h_plaquette.matrix,
+                    c2d.at(plaquette_distance(patch_, p)),
+                )
+                for p in patch_.members
+            ]
+            B = LocalSum((eff.metaspin_dim,) * len(region), terms).assemble()
+            want = want - wt.alpha * (B @ B)
+        (got,) = seen
+        assert sp.linalg.norm(got - want) <= 1e-12 * sp.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_patch_square_table_matches_bruteforce(self, n):
+        # the clipped boundary patches need no correction: every pair weight is
+        # the sum over all covering balls of the infinite lattice
+        c = coeffs_2d(n)
+        for m1 in range(1, 5):
+            for m2 in range(1, 5):
+                ambient = plaquette_set(m1, m2)
+                W = patch_square_table(ambient, n)
+                for i, p in enumerate(ambient.plaquettes):
+                    for j, q in enumerate(ambient.plaquettes):
+                        assert W[i, j] == weight_bruteforce(n, c, p, q), (m1, m2, p, q)
 
 
 class TestOperatorChecks:
@@ -476,15 +554,31 @@ class TestOperatorChecks:
         model = request.getfixturevalue(chain).payload
         assert regrouped_difference_residual(model, m, n) <= 1e-12
 
-    def test_rewrite_difference_catches_dropped_window(self, monkeypatch, random_chain_d2):
-        window_from_images = criteria.window_from_images
+    def test_rewrite_difference_catches_perturbed_table(self, monkeypatch, random_chain_d2):
+        table = criteria.window_square_table
 
-        def drop_window_3(l, c, images):
-            out = window_from_images(l, c, images)
-            return 0.0 * out if l == 3 else out
+        def perturb_one_entry(c, period):
+            W = table(c, period)
+            W[2, 3] *= 1.0 + 1e-9
+            return W
 
-        monkeypatch.setattr(criteria, "window_from_images", drop_window_3)
+        monkeypatch.setattr(criteria, "window_square_table", perturb_one_entry)
         assert regrouped_difference_residual(random_chain_d2.payload, 8, 4) > 1e-12
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_window_square_table_closed_form(self, n):
+        # -q(0) on the diagonal, 0 at cyclic distance 1, q(1) - q(delta) beyond,
+        # with q(delta) = 0 for delta >= n - 1
+        coeffs = coeffs_1d(n, SQRT6)
+        c = np.asarray(coeffs.c)
+        period = 2 * n + 1
+        q = np.array(autocorr_1d(coeffs) + (0.0,) * period)
+        k = np.arange(period)
+        delta = np.minimum((k[:, None] - k) % period, (k - k[:, None]) % period)
+        want = np.where(delta == 0, -q[0], np.where(delta == 1, 0.0, q[1] - q[delta]))
+        got = (c[:-1] @ c[1:]) * (1.0 - np.eye(period)) - window_square_table(coeffs.c, period)
+        # sum c c' is a BLAS dot, the table a sequential sum: allow a few ulps of q(0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * q[0])
 
     def test_rewrite_margin_window_bounds(self, random_chain_d2):
         coeffs = coeffs_1d(4, SQRT6)

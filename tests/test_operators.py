@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ffgap.coefficients import SQRT6, coeffs_1d
-from ffgap.criteria import apply_q_plus_f, term_images, window_from_images, window_gap_margins
+from ffgap.criteria import apply_pairs, term_images, window_from_images, window_gap_margins
 from ffgap.lattice import InteractionShape, box_region
 from ffgap.operators import (
     ChainModel,
@@ -277,7 +277,8 @@ class TestEnlargedChainApplier:
         assert np.allclose(ring.apply(v), H @ v, atol=1e-12)
         Q, F = q_and_f(model, m)
         images = term_images(ring, v)
-        assert np.allclose(apply_q_plus_f(ring, images), (Q + F) @ v, atol=1e-11)
+        all_pairs = 1.0 - np.eye(m + 1)  # Q+F sums h_i h_j over every ordered pair i != j
+        assert np.allclose(apply_pairs(ring, all_pairs, images), (Q + F) @ v, atol=1e-11)
 
     def test_window_application(self, random_chain_d2):
         model = random_chain_d2.payload
