@@ -388,13 +388,6 @@ def standard_instance_plan(trials: int, config: SuiteConfig | None = None) -> li
     return plan
 
 
-def _coefficient_sums(c: tuple[float, ...]) -> tuple[float, float]:
-    arr = np.asarray(c)
-    sum_c2 = float(arr @ arr)
-    sum_cc = float(arr[:-1] @ arr[1:]) if len(arr) > 1 else 0.0
-    return sum_c2, sum_cc
-
-
 def hsquared_identity_residual(model: ChainModel, m: int) -> float:
     """Relative Frobenius residual of H^2 = H + Q + F on the enlarged ring."""
     H = chain_hamiltonian(model, m)
@@ -415,12 +408,15 @@ def window_from_images(l: int, c: tuple[float, ...], images: np.ndarray) -> np.n
 
 
 def apply_pairs(ring: LocalSum, W: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """sum_ij W[i, j] h_i h_j v from the term images ``term_images(ring, v)``.
+    """sum_ij W[i, j] h_i h_j v from the term images ``term_images(ring, v)``; W is real.
 
     Grouped by the term applied last, this is sum_i h_i (W @ images)_i: one
-    more application per term.
+    more application per term. The real table mixes the float64 view of
+    complex images (real and imaginary parts side by side), so the mixing
+    is one real matrix product.
     """
-    return sum(ring.apply_term(t, row) for t, row in enumerate(W @ images))
+    mixed = (W @ images.view(np.float64)).view(images.dtype)
+    return sum(ring.apply_term(t, row) for t, row in enumerate(mixed))
 
 
 def window_square_table(c: tuple[float, ...], period: int) -> np.ndarray:
@@ -453,28 +449,38 @@ def interchange_residual(model: ChainModel, m: int, coeffs: Deformation1D, seed:
     return worst
 
 
-def rewrite_matvecs(ring: LocalSum, c: tuple[float, ...]):
-    """Matvecs of the rewrite inequality's dominating side and of its difference D.
+def rewrite_tables(c: tuple[float, ...], period: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair tables of the rewrite inequality's dominating side and of its difference D.
 
-    Both are (sum c^2) H + sum_ij W[i, j] h_i h_j. Q+F is the sum of h_i h_j
-    over all ordered pairs i != j, so the dominating side has
-    W = (sum c c') (1 - I), and D = (sum c^2) H + (sum c c') (Q+F) -
-    sum_l B_{n,l}^2 subtracts ``window_square_table``. Each matvec applies
-    every term twice: once for the term images, once in ``apply_pairs``.
+    Each side is sum_ij W[i, j] h_i h_j, with (sum c^2) H folded into the
+    diagonal as (sum c^2) h_i h_i, which is exact for projector terms
+    (h_i^2 = h_i). Q+F is the sum of h_i h_j over all ordered pairs i != j,
+    so the dominating side has sum c^2 on the diagonal and sum c c' off it,
+    and D subtracts ``window_square_table``. The two sums are that table's
+    entries q(0) and q(1) at cyclic distance 0 and 1, so D is exactly 0
+    there and q(1) - q(delta) beyond.
     """
-    sum_c2, sum_cc = _coefficient_sums(c)
-    period = len(ring.terms)
-    dominating = sum_cc * (1.0 - np.eye(period))
-    difference = dominating - window_square_table(c, period)
+    W_B = window_square_table(c, period)
+    dominating = np.full((period, period), W_B[0, 1])
+    np.fill_diagonal(dominating, W_B[0, 0])
+    return dominating, dominating - W_B
+
+
+def rewrite_matvecs(ring: LocalSum, c: tuple[float, ...]):
+    """Matvecs of the rewrite inequality's dominating side and of D, from ``rewrite_tables``.
+
+    Both run over the ring's nonzero terms only (an absent boundary term
+    contributes nothing to either side). Each matvec applies every nonzero
+    term twice: once for the term images, once in ``apply_pairs``.
+    """
+    live = [t for t, (_, block, _) in enumerate(ring.terms) if block.any()]
+    terms = LocalSum(ring.dims, [ring.terms[t] for t in live])
 
     def pair_form(W):
-        def matvec(v):
-            images = term_images(ring, v)
-            return sum_c2 * images.sum(axis=0) + apply_pairs(ring, W, images)
+        W = W[np.ix_(live, live)]
+        return lambda v: apply_pairs(terms, W, term_images(terms, v))
 
-        return matvec
-
-    return pair_form(dominating), pair_form(difference)
+    return tuple(pair_form(W) for W in rewrite_tables(c, len(ring.terms)))
 
 
 def rewrite_margin(model: ChainModel, m: int, coeffs: Deformation1D) -> tuple[float, float]:

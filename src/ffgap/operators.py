@@ -212,13 +212,27 @@ class LocalSum:
         return mat
 
     def apply_term(self, t: int, v: np.ndarray) -> np.ndarray:
-        """Term t applied to a state vector; the term's factors must be contiguous."""
+        """Term t applied to a state vector; the term's factors must be contiguous.
+
+        With the state viewed as (left, k, right), the block acts on the
+        middle axis by one BLAS product whatever the term's position: on the
+        (left, k) rows when right == 1, batched over the left axis when
+        left <= right, and otherwise on the (k, left * right) transposed copy.
+        """
         positions, block, weight = self.terms[t]
         start = positions[0]
         if positions != tuple(range(start, start + len(positions))):
             raise ValueError(f"term {t} acts on non-contiguous factors {positions}")
+        k = block.shape[0]
         left = math.prod(self.dims[:start])
-        return weight * np.matmul(block, v.reshape(left, block.shape[0], -1)).reshape(-1)
+        right = v.size // (left * k)
+        if right == 1:
+            return weight * (v.reshape(left, k) @ block.T).reshape(-1)
+        if left <= right:
+            return weight * np.matmul(block, v.reshape(left, k, right)).reshape(-1)
+        columns = v.reshape(left, k, right).transpose(1, 0, 2).reshape(k, -1)
+        out = weight * (block @ columns)
+        return out.reshape(k, left, right).transpose(1, 0, 2).reshape(-1)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The sum applied to a state vector, term by term."""

@@ -184,16 +184,19 @@ def _least_eigenvalue(
 
     Lanczos runs on shift*I - op with shift = 1.05 * scale + 1, whose target
     eigenvalue shift - theta is the largest ("LA") and far from zero, so the
-    relative tolerance is meaningful; a Ritz value can only undershoot it, so
-    theta is never below the true least eigenvalue. The residual is the
-    eigenpair residual relative to max(1, scale, |theta|); it raises when
-    that exceeds max(RESIDUAL_RTOL, 10 tol).
+    relative tolerance is meaningful. theta is the Rayleigh quotient
+    Re<v, op v> / <v, v> of the Ritz vector v, not ARPACK's Ritz value: its
+    error is quadratic in the eigenvector's, and as a Rayleigh quotient it
+    is never below the true least eigenvalue. The residual is that of
+    (theta, v), from the same op v, relative to max(1, scale, |theta|); it
+    raises when that exceeds max(RESIDUAL_RTOL, 10 tol).
     """
     shift = 1.05 * scale + 1.0
-    vals, vecs = _eigsh(lambda v: shift * v - apply(v), dim, dtype, tol, restarts)
-    theta = shift - float(vals[0])
+    _, vecs = _eigsh(lambda v: shift * v - apply(v), dim, dtype, tol, restarts)
     v = vecs[:, 0]
-    residual = float(np.linalg.norm(apply(v) - theta * v)) / max(1.0, scale, abs(theta))
+    image = apply(v)
+    theta = float(np.vdot(v, image).real / np.vdot(v, v).real)
+    residual = float(np.linalg.norm(image - theta * v)) / max(1.0, scale, abs(theta))
     bound = max(RESIDUAL_RTOL, 10.0 * tol)
     if residual > bound:
         raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds {bound:.0e}")
@@ -378,11 +381,12 @@ def _cut(K: np.ndarray, s: np.ndarray, d: int, matrix, positions, weight=1.0):
 
     The columns of K are the right singular vectors of the square-root
     energy form of the terms cut so far, and s are its singular values (0 at
-    or below NULL_SVD_TOL). One thin SVD of [diag(s); sqrt(w) h K] gives the
-    new columns and values; the columns whose value exceeds BUFFER_SVD_TOL
-    are dropped. ``positions`` are 0-based tensor-factor positions in the
-    factor order of ``matrix`` (they need be neither sorted nor contiguous).
-    Returns the new (K, s).
+    or below NULL_SVD_TOL). The SVD of the R factor of [diag(s); sqrt(w) h K]
+    gives the new columns and values (the same singular values and right
+    vectors, without the tall left factor); the columns whose value exceeds
+    BUFFER_SVD_TOL are dropped. ``positions`` are 0-based tensor-factor
+    positions in the factor order of ``matrix`` (they need be neither sorted
+    nor contiguous). Returns the new (K, s).
     """
     m, k, t = round(math.log(K.shape[0], d)), K.shape[1], len(positions)
     h = (math.sqrt(weight) * matrix).reshape((d,) * (2 * t))
@@ -390,7 +394,7 @@ def _cut(K: np.ndarray, s: np.ndarray, d: int, matrix, positions, weight=1.0):
     rows = np.moveaxis(image, range(t), positions).reshape(K.shape)
     if s.any():
         rows = np.vstack([np.diag(s)[s > 0], rows])
-    _, sv, vh = np.linalg.svd(rows, full_matrices=False)
+    _, sv, vh = np.linalg.svd(np.linalg.qr(rows, mode="r"), full_matrices=False)
     keep = sv <= BUFFER_SVD_TOL
     return K @ vh[keep].conj().T, np.where(sv[keep] > NULL_SVD_TOL, sv[keep], 0.0)
 

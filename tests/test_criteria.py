@@ -42,6 +42,7 @@ from ffgap.criteria import (
     prop2d_margin,
     rewrite_margin,
     rewrite_matvecs,
+    rewrite_tables,
     standard_instance_plan,
     term_images,
     verify_chain_instance,
@@ -579,6 +580,26 @@ class TestOperatorChecks:
         got = (c[:-1] @ c[1:]) * (1.0 - np.eye(period)) - window_square_table(coeffs.c, period)
         # sum c c' is a BLAS dot, the table a sequential sum: allow a few ulps of q(0)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * q[0])
+        # with (sum c^2) H folded into the diagonal, D is exactly 0 at distance 0 and 1
+        _, folded = rewrite_tables(coeffs.c, period)
+        assert np.all(folded[delta <= 1] == 0.0)
+        beyond = np.where(delta <= 1, 0.0, q[1] - q[delta])
+        np.testing.assert_allclose(folded, beyond, rtol=0, atol=1e-14 * q[0])
+
+    def test_matvec_applies_nonzero_terms_only(self, monkeypatch, random_chain_d2):
+        # d=2 without boundary terms at m=8: 9 ring terms, of which the 7 bonds are nonzero
+        ring = enlarged_ring(random_chain_d2.payload, 8)
+        _, difference = rewrite_matvecs(ring, coeffs_1d(4, SQRT6).c)
+        applied = []
+        apply_term = LocalSum.apply_term
+
+        def counting(self, t, v):
+            applied.append(t)
+            return apply_term(self, t, v)
+
+        monkeypatch.setattr(LocalSum, "apply_term", counting)
+        difference(np.ones(ring.dim))
+        assert len(applied) == 2 * 7
 
     def test_rewrite_margin_window_bounds(self, random_chain_d2):
         coeffs = coeffs_1d(4, SQRT6)

@@ -105,6 +105,31 @@ class TestEmbed:
         with pytest.raises(ValueError, match="non-contiguous"):
             local_sum.apply_term(1, v)
 
+    @pytest.mark.parametrize(
+        "dims", [(2,) * 8, (3,) * 7, (2, 3, 2, 4, 3)], ids=["2^8", "3^7", "mixed"]
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_apply_term_at_every_position(self, dims, dtype):
+        # every contiguous one- and two-factor term, so every orientation of
+        # the (left, k, right) view: right == 1, left == 1, left <= right, left > right
+        rng = np.random.default_rng(len(dims))
+        dim = int(np.prod(dims))
+        for width in (1, 2):
+            for start in range(len(dims) - width + 1):
+                positions = tuple(range(start, start + width))
+                k = int(np.prod(dims[start:start + width]))
+                block = rng.standard_normal((k, k)).astype(dtype)
+                if dtype is np.complex128:
+                    block += 1j * rng.standard_normal((k, k))
+                term = LocalSum(dims, [(positions, block + block.conj().T, 0.7)])
+                v = rng.standard_normal(dim).astype(dtype)
+                if dtype is np.complex128:
+                    v += 1j * rng.standard_normal(dim)
+                want = term.assemble() @ v
+                got = term.apply_term(0, v)
+                assert got.dtype == want.dtype
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
 
 def on_sites(local: np.ndarray, first: int, k: int, d: int, m: int) -> np.ndarray:
     """``local`` on sites first..first+k-1 (1-based) of an m-site chain, by np.kron."""

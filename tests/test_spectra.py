@@ -308,6 +308,16 @@ class TestChainKernels:
         assert report.gap == pytest.approx(gap, abs=1e-10 * scale)
         assert chain_gap(aklt_spec.payload, 5).method == "dense"  # 243 <= 512
 
+    def test_deflated_gap_is_the_rayleigh_quotient(self):
+        # at LANCZOS_RTOL, ARPACK's Ritz value for this draw's gap at 2^10 is
+        # 1.0e-13 from dense ED; the Rayleigh quotient of its Ritz vector is
+        # within about 2e-15
+        model = random_ff(2, 1, 0, 43, ff_check_depth=4).payload
+        report = chain_gap(model, 10)
+        _, gap, _ = ed_kernel_and_gap(spectrum(model, 10))
+        assert report.method == "deflated"
+        assert report.gap == pytest.approx(gap, abs=2e-14)
+
     def test_clustered_gap_falls_back_to_dense(self):
         # a nearly gapless draw: gap 5.4e-6 at m=10, next eigenvalue 1.0e-5;
         # the deflated solve exhausts its restart budget and the gap is dense
