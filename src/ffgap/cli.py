@@ -183,38 +183,27 @@ def _cmd_profile(args):
 
 
 def _cmd_certify(args):
+    spec = resolve_model(args.model)
+    model = _require_kind(spec, "cell_2d" if args.criterion in ("quasi1d", "2d") else "chain")
     if args.criterion in ("thm1", "thm2"):
-        spec = resolve_model(args.model)
-        model = _require_kind(spec, "chain")
-        profile = gap_profile(model, args.n)
-        if args.criterion == "thm1":
-            cert = criteria.certify_thm1(profile, args.n, mode=args.mode)
-        else:
-            cert = criteria.certify_thm2(profile, args.n, mode=args.mode)
+        certify = criteria.certify_thm1 if args.criterion == "thm1" else criteria.certify_thm2
+        cert = certify(gap_profile(model, args.n), args.n, mode=args.mode)
     elif args.criterion == "gm":
-        spec = resolve_model(args.model)
-        model = _require_kind(spec, "chain")
         zero = LocalProjector.zero(1, model.d)
         bulk_model = ChainModel(model.d, model.P, zero, zero)
         check_dim(model.d ** args.n)
         length = criteria.periodic_window(args.n, args.m)
         cert = criteria.certify_periodic(chain_gap(bulk_model, length).gap, args.n, args.m)
     elif args.criterion == "quasi1d":
-        spec = resolve_model(args.model)
-        cell = _require_kind(spec, "cell_2d")
         window = criteria.quasi1d_window(args.n)
-        eff = effective_1d(cell, args.m2, args.R)
-        gaps = {l: region_gap(cell, box_region(l * eff.R, args.m2)).gap for l in window}
-        cert = criteria.certify_quasi1d(cell, args.m2, args.R, args.n, gaps, effective=eff)
-    elif args.criterion == "2d":
-        spec = resolve_model(args.model)
-        cell = _require_kind(spec, "cell_2d")
+        eff = effective_1d(model, args.m2, args.R)
+        gaps = {l: region_gap(model, box_region(l * eff.R, args.m2)).gap for l in window}
+        cert = criteria.certify_quasi1d(model, args.m2, args.R, args.n, gaps, effective=eff)
+    else:  # 2d; argparse restricts the choices
         pairs = criteria.two_d_window(args.n)
-        eff = effective_2d(cell, args.R)
-        gaps = {pair: region_gap(cell, rhomboid_sites(*pair, args.R)[0]).gap for pair in pairs}
-        cert = criteria.certify_2d(cell, args.R, args.n, gaps, effective=eff)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown criterion {args.criterion!r}")
+        eff = effective_2d(model, args.R)
+        gaps = {pair: region_gap(model, rhomboid_sites(*pair, args.R)[0]).gap for pair in pairs}
+        cert = criteria.certify_2d(model, args.R, args.n, gaps, effective=eff)
     code = EXIT_OK if cert.verdict == "certified_gapped" else EXIT_INCONCLUSIVE
     doc = cert.to_json()
     doc["model"] = spec.name
@@ -264,34 +253,23 @@ def _cmd_verify(args):
 def _cmd_coarse_grain(args):
     spec = resolve_model(args.model)
     cell = _require_kind(spec, "cell_2d")
-    if args.two_d:
-        if args.m2 is not None:
-            raise ValueError("--m2 is the quasi-1D strip height; --two-d takes no --m2")
-        eff = effective_2d(cell, args.R)
-        doc = {
-            "geometry": "2d",
-            "metaspin_dim": eff.metaspin_dim,
-            "lambda_min": eff.lambda_min,
-            "lambda_max": eff.lambda_max,
-            "C1": eff.C1,
-            "C2": eff.C2,
-            "R": eff.R,
-        }
-    else:
-        if args.m2 is None:
-            raise ValueError("quasi-1D coarse-graining needs --m2 (or pass --two-d)")
-        eff = effective_1d(cell, args.m2, args.R)
-        doc = {
-            "geometry": "quasi1d",
-            "metaspin_dim": eff.metaspin_dim,
-            "lambda_min": eff.lambda_min,
-            "lambda_max": eff.lambda_max,
-            "C1": eff.C1,
-            "C2": eff.C2,
-            "R": eff.R,
-            "m2": eff.m2,
-        }
-    doc["model"] = spec.name
+    if args.two_d and args.m2 is not None:
+        raise ValueError("--m2 is the quasi-1D strip height; --two-d takes no --m2")
+    if not args.two_d and args.m2 is None:
+        raise ValueError("quasi-1D coarse-graining needs --m2 (or pass --two-d)")
+    eff = effective_2d(cell, args.R) if args.two_d else effective_1d(cell, args.m2, args.R)
+    doc = {
+        "geometry": "2d" if args.two_d else "quasi1d",
+        "metaspin_dim": eff.metaspin_dim,
+        "lambda_min": eff.lambda_min,
+        "lambda_max": eff.lambda_max,
+        "C1": eff.C1,
+        "C2": eff.C2,
+        "R": eff.R,
+        "model": spec.name,
+    }
+    if not args.two_d:
+        doc["m2"] = eff.m2
     return doc, EXIT_OK
 
 

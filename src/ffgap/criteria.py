@@ -25,6 +25,7 @@ from .coarse_grain import (
 from .coefficients import (
     SQRT6,
     Deformation1D,
+    autocorr_1d,
     coeffs_1d,
     coeffs_2d,
     optimal_x,
@@ -419,19 +420,6 @@ def apply_pairs(ring: LocalSum, W: np.ndarray, images: np.ndarray) -> np.ndarray
     return sum(ring.apply_term(t, row) for t, row in enumerate(mixed))
 
 
-def window_square_table(c: tuple[float, ...], period: int) -> np.ndarray:
-    """Pair table of sum_l B_{n,l}^2 on a ring of ``period`` terms.
-
-    Entry (i, j) is the weight of h_i h_j. Window l has the terms h_{l+a}
-    with weights c_a, so each pair (a, b) adds c_a c_b on the cyclic
-    diagonal j - i = b - a (mod period).
-    """
-    W = np.zeros((period, period))
-    for a, b in itertools.product(range(len(c)), repeat=2):
-        W += c[a] * c[b] * np.roll(np.eye(period), b - a, axis=1)
-    return W
-
-
 def interchange_residual(model: ChainModel, m: int, coeffs: Deformation1D, seed: int = 0) -> float:
     """Relative residual of sum_l B_{n,l} = (sum_j c_j) H on random vectors."""
     ring = enlarged_ring(model, m)
@@ -449,58 +437,58 @@ def interchange_residual(model: ChainModel, m: int, coeffs: Deformation1D, seed:
     return worst
 
 
-def rewrite_tables(c: tuple[float, ...], period: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair tables of the rewrite inequality's dominating side and of its difference D.
+def rewrite_table(coeffs: Deformation1D, period: int) -> np.ndarray:
+    """Pair table of the rewrite inequality's difference D on a ring of ``period`` terms.
 
-    Each side is sum_ij W[i, j] h_i h_j, with (sum c^2) H folded into the
-    diagonal as (sum c^2) h_i h_i, which is exact for projector terms
-    (h_i^2 = h_i). Q+F is the sum of h_i h_j over all ordered pairs i != j,
-    so the dominating side has sum c^2 on the diagonal and sum c c' off it,
-    and D subtracts ``window_square_table``. The two sums are that table's
-    entries q(0) and q(1) at cyclic distance 0 and 1, so D is exactly 0
-    there and q(1) - q(delta) beyond.
+    D = (sum c^2) H + (sum c c') (Q+F) - sum_l B_{n,l}^2 is sum_ij W[i, j] h_i h_j,
+    with (sum c^2) H folded into the diagonal (h_i^2 = h_i for projector
+    terms) and Q+F the sum of h_i h_j over all ordered pairs i != j. Window
+    l puts c_a c_b on (l+a, l+b), so sum_l B_l^2 has q(delta) at cyclic
+    distance delta, with q from ``autocorr_1d`` and q(delta) = 0 from
+    delta = n-1 on; sum c^2 and sum c c' are q(0) and q(1). So W is exactly
+    0 at distance 0 and 1 and q(1) - q(delta) beyond. Needs period >= 2n+1,
+    under which no two offsets alias (``rewrite_margin``'s n <= m/2 gives it).
     """
-    W_B = window_square_table(c, period)
-    dominating = np.full((period, period), W_B[0, 1])
-    np.fill_diagonal(dominating, W_B[0, 0])
-    return dominating, dominating - W_B
+    q = np.zeros(period)
+    q[: coeffs.n - 1] = autocorr_1d(coeffs)
+    k = np.arange(period)
+    delta = np.abs(k[:, None] - k)
+    delta = np.minimum(delta, period - delta)
+    return np.where(delta <= 1, 0.0, q[1] - q[delta])
 
 
-def rewrite_matvecs(ring: LocalSum, c: tuple[float, ...]):
-    """Matvecs of the rewrite inequality's dominating side and of D, from ``rewrite_tables``.
+def rewrite_difference(ring: LocalSum, coeffs: Deformation1D):
+    """(terms, matvec): the ring's nonzero terms and the matvec of D from ``rewrite_table``.
 
-    Both run over the ring's nonzero terms only (an absent boundary term
-    contributes nothing to either side). Each matvec applies every nonzero
-    term twice: once for the term images, once in ``apply_pairs``.
+    An absent boundary term contributes nothing to D, so both run over the
+    nonzero terms only. Each matvec applies every nonzero term twice: once
+    for the term images, once in ``apply_pairs``.
     """
     live = [t for t, (_, block, _) in enumerate(ring.terms) if block.any()]
     terms = LocalSum(ring.dims, [ring.terms[t] for t in live])
-
-    def pair_form(W):
-        W = W[np.ix_(live, live)]
-        return lambda v: apply_pairs(terms, W, term_images(terms, v))
-
-    return tuple(pair_form(W) for W in rewrite_tables(c, len(ring.terms)))
+    W = rewrite_table(coeffs, len(ring.terms))[np.ix_(live, live)]
+    return terms, lambda v: apply_pairs(terms, W, term_images(terms, v))
 
 
 def rewrite_margin(model: ChainModel, m: int, coeffs: Deformation1D) -> tuple[float, float]:
     """(margin, scale) of the deformed-window rewrite inequality at window size coeffs.n.
 
-    The inequality bounds sum_l B_{n,l}^2 by (sum c^2) H + (sum c c') (Q+F);
-    the margin is the least eigenvalue of the difference D and the scale is
-    the largest eigenvalue of the dominating side (at least 1). Both come
-    from spectra's Lanczos routines on the matrix-free ``rewrite_matvecs``
-    of the m-site chain, in the ring's dtype (real for real models): the
-    scale from ``_largest_eigenvalue``, the margin from the shifted solve of
-    ``_least_eigenvalue`` stopped at LANCZOS_RTOL, which raises when its
-    eigenpair residual is too large.
+    The inequality bounds sum_l B_{n,l}^2 by q(0) H + q(1) (Q+F), with q
+    from ``autocorr_1d``. The margin is the least eigenvalue of the
+    difference D, by the shifted solve of ``_least_eigenvalue`` on
+    ``rewrite_difference`` stopped at LANCZOS_RTOL (it raises when its
+    eigenpair residual is too large). The scale is the dominating side's
+    largest eigenvalue (at least 1): by H^2 = H + Q + F that side is
+    q(1) H^2 + (q(0) - q(1)) H, so it follows from lambda_max(H).
     """
     n = coeffs.n
     if not 3 <= n <= m / 2:
         raise ValueError(f"need 3 <= n <= m/2, got n={n}, m={m}")
     ring = enlarged_ring(model, m)
-    dominating, difference = rewrite_matvecs(ring, coeffs.c)
-    scale = max(1.0, _largest_eigenvalue(dominating, ring.dim, ring.dtype))
+    terms, difference = rewrite_difference(ring, coeffs)
+    q = autocorr_1d(coeffs)
+    lam = _largest_eigenvalue(terms.apply, ring.dim, ring.dtype)
+    scale = max(1.0, q[1] * lam ** 2 + (q[0] - q[1]) * lam)
     return _least_eigenvalue(difference, ring.dim, ring.dtype, scale, tol=LANCZOS_RTOL)[0], scale
 
 

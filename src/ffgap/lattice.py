@@ -28,7 +28,7 @@ vectors with (delta s) = (delta t) (mod 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Coord = tuple[int, int]
 
@@ -160,7 +160,6 @@ class Patch:
     n: int
     members: tuple[Coord, ...]
     shape: tuple[int, int] | None
-    ambient: PlaquetteSet = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -372,7 +371,7 @@ def patch(n: int, center: Coord, ambient: PlaquetteSet) -> Patch:
     shape = _match_rhomboid(set(members))
     if shape is not None and not (0 <= shape[0] <= n and 0 <= shape[1] <= n):
         raise AssertionError(f"patch shape {shape} exceeds ball size {n}")
-    return Patch(center=center, n=n, members=members, shape=shape, ambient=ambient)
+    return Patch(center=center, n=n, members=members, shape=shape)
 
 
 def plaquette_distance(patch_: Patch, p: Coord) -> int:

@@ -19,8 +19,9 @@ masquerade as a gap. Without a basis, a gap is dense or refused. Operators
 are sparse matrices or ndarrays, never matrix-free, and nothing larger than
 DENSE_MAX_DIM is densified. ``_eigsh`` is the one ARPACK call: seeded, on one
 BLAS thread, stopped at LANCZOS_RTOL for a gap, its scale and the rewrite
-margin, and at machine precision otherwise (certificate constants, margin
-scales, the Cholesky-certified margin). Tolerances are module constants.
+margin, and at machine precision otherwise (certificate constants, the
+lambda_max(H) from which both rewrite margins take their scales, the
+Cholesky-certified margin). Tolerances are module constants.
 Solves do not always rerun bit for bit: on a degenerate largest eigenvalue,
 as in the 2D scale of ``prop2d_margin``, ARPACK has been seen to change in
 its last bits, real (``dsaupd``) and complex (``znaupd``) alike, from

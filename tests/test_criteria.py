@@ -1,5 +1,6 @@
 """Finite-size criteria, certificates, and the inequality verification suite."""
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -40,15 +41,14 @@ from ffgap.criteria import (
     interchange_residual,
     patch_square_table,
     prop2d_margin,
+    rewrite_difference,
     rewrite_margin,
-    rewrite_matvecs,
-    rewrite_tables,
+    rewrite_table,
     standard_instance_plan,
     term_images,
     verify_chain_instance,
     verify_inequality_suite,
     window_gap_margins,
-    window_square_table,
 )
 from ffgap.lattice import (
     SiteRegion,
@@ -98,19 +98,20 @@ def kron_rewrite_margin(model, m, n, coeffs) -> tuple[float, float]:
 
 
 def regrouped_difference_residual(model, m, n, seed=0) -> float:
-    """Worst relative distance of the D matvec of ``rewrite_matvecs`` from D v taken term by term.
+    """Worst relative distance of the D matvec of ``rewrite_difference`` from D v taken term by term.
 
     The reference squares each window by applying it twice, term by term, so
     it shares no grouping with the pair table.
     """
     ring = enlarged_ring(model, m)
-    c = coeffs_1d(n, SQRT6).c
+    coeffs = coeffs_1d(n, SQRT6)
+    c = coeffs.c
     arr = np.asarray(c)
 
     def apply_window(l, v):
         return sum(w * ring.apply_term((l + a - 1) % (m + 1), v) for a, w in enumerate(c))
 
-    _, difference = rewrite_matvecs(ring, c)
+    _, difference = rewrite_difference(ring, coeffs)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(3):
@@ -544,7 +545,7 @@ class TestOperatorChecks:
         dense_margin, dense_scale = kron_rewrite_margin(model, m, n, coeffs)
         free_margin, free_scale = rewrite_margin(model, m, coeffs)
         assert free_margin == pytest.approx(dense_margin, abs=1e-9 * dense_scale)
-        assert free_scale == pytest.approx(dense_scale, rel=1e-4)
+        assert free_scale == pytest.approx(dense_scale, rel=1e-12)
 
     @pytest.mark.parametrize(
         "chain, m, n",
@@ -556,40 +557,42 @@ class TestOperatorChecks:
         assert regrouped_difference_residual(model, m, n) <= 1e-12
 
     def test_rewrite_difference_catches_perturbed_table(self, monkeypatch, random_chain_d2):
-        table = criteria.window_square_table
+        table = criteria.rewrite_table
 
-        def perturb_one_entry(c, period):
-            W = table(c, period)
-            W[2, 3] *= 1.0 + 1e-9
+        def perturb_one_entry(coeffs, period):
+            W = table(coeffs, period)
+            assert W[2, 5] != 0.0  # cyclic distance 3
+            W[2, 5] *= 1.0 + 1e-9
             return W
 
-        monkeypatch.setattr(criteria, "window_square_table", perturb_one_entry)
+        monkeypatch.setattr(criteria, "rewrite_table", perturb_one_entry)
         assert regrouped_difference_residual(random_chain_d2.payload, 8, 4) > 1e-12
 
     @pytest.mark.parametrize("n", range(3, 9))
-    def test_window_square_table_closed_form(self, n):
-        # -q(0) on the diagonal, 0 at cyclic distance 1, q(1) - q(delta) beyond,
-        # with q(delta) = 0 for delta >= n - 1
+    def test_rewrite_table_closed_form(self, n):
+        # the dominating table (sum c^2 on the diagonal, sum c c' off it) minus
+        # sum_l B_l^2 expanded pair by pair: window l puts c_a c_b on (l+a, l+b)
         coeffs = coeffs_1d(n, SQRT6)
         c = np.asarray(coeffs.c)
         period = 2 * n + 1
-        q = np.array(autocorr_1d(coeffs) + (0.0,) * period)
+        squares = np.zeros((period, period))
+        for l in range(period):
+            for a, b in itertools.product(range(n - 1), repeat=2):
+                squares[(l + a) % period, (l + b) % period] += c[a] * c[b]
+        dominating = np.full((period, period), c[:-1] @ c[1:])
+        np.fill_diagonal(dominating, c @ c)
+        want = dominating - squares
+        got = rewrite_table(coeffs, period)
         k = np.arange(period)
-        delta = np.minimum((k[:, None] - k) % period, (k - k[:, None]) % period)
-        want = np.where(delta == 0, -q[0], np.where(delta == 1, 0.0, q[1] - q[delta]))
-        got = (c[:-1] @ c[1:]) * (1.0 - np.eye(period)) - window_square_table(coeffs.c, period)
-        # sum c c' is a BLAS dot, the table a sequential sum: allow a few ulps of q(0)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * q[0])
-        # with (sum c^2) H folded into the diagonal, D is exactly 0 at distance 0 and 1
-        _, folded = rewrite_tables(coeffs.c, period)
-        assert np.all(folded[delta <= 1] == 0.0)
-        beyond = np.where(delta <= 1, 0.0, q[1] - q[delta])
-        np.testing.assert_allclose(folded, beyond, rtol=0, atol=1e-14 * q[0])
+        delta = np.minimum(np.abs(k[:, None] - k), period - np.abs(k[:, None] - k))
+        # exactly 0 at cyclic distance 0 and 1, q(1) - q(delta) beyond
+        assert np.all(got[delta <= 1] == 0.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * autocorr_1d(coeffs)[0])
 
     def test_matvec_applies_nonzero_terms_only(self, monkeypatch, random_chain_d2):
         # d=2 without boundary terms at m=8: 9 ring terms, of which the 7 bonds are nonzero
         ring = enlarged_ring(random_chain_d2.payload, 8)
-        _, difference = rewrite_matvecs(ring, coeffs_1d(4, SQRT6).c)
+        _, difference = rewrite_difference(ring, coeffs_1d(4, SQRT6))
         applied = []
         apply_term = LocalSum.apply_term
 
