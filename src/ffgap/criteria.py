@@ -399,7 +399,11 @@ def hsquared_identity_residual(model: ChainModel, m: int) -> float:
 
 def term_images(ring: LocalSum, v: np.ndarray) -> np.ndarray:
     """The stacked images [h_1 v, ..., h_{m+1} v] (zero rows for absent boundary terms)."""
-    return np.stack([ring.apply_term(t, v) for t in range(len(ring.terms))])
+    dtype = np.result_type(v, *(block for _, block, _ in ring.terms))
+    images = np.empty((len(ring.terms), v.size), dtype)
+    for t, row in enumerate(images):
+        row[:] = ring.apply_term(t, v)
+    return images
 
 
 def window_from_images(l: int, c: tuple[float, ...], images: np.ndarray) -> np.ndarray:
@@ -417,7 +421,10 @@ def apply_pairs(ring: LocalSum, W: np.ndarray, images: np.ndarray) -> np.ndarray
     is one real matrix product.
     """
     mixed = (W @ images.view(np.float64)).view(images.dtype)
-    return sum(ring.apply_term(t, row) for t, row in enumerate(mixed))
+    out = np.zeros(images.shape[1], images.dtype)
+    for t, row in enumerate(mixed):
+        out += ring.apply_term(t, row)
+    return out
 
 
 def interchange_residual(model: ChainModel, m: int, coeffs: Deformation1D, seed: int = 0) -> float:

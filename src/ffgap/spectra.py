@@ -15,13 +15,18 @@ window of dimension up to DENSE_MAX_DIM reaches. So every window gap
 against it and deflated by it: dense below a size cutoff, above it the least
 eigenvalue of H + s Pi_K by the shifted solve of ``_least_eigenvalue``, with
 an explicit residual check so a silently unconverged eigenvalue cannot
-masquerade as a gap. Without a basis, a gap is dense or refused. Operators
-are sparse matrices or ndarrays, never matrix-free, and nothing larger than
-DENSE_MAX_DIM is densified. ``_eigsh`` is the one ARPACK call: seeded, on one
-BLAS thread, stopped at LANCZOS_RTOL for a gap, its scale and the rewrite
-margin, and at machine precision otherwise (certificate constants, the
-lambda_max(H) from which both rewrite margins take their scales, the
-Cholesky-certified margin). Tolerances are module constants.
+masquerade as a gap. Without a basis, a gap is dense up to the cutoff; above
+it, up to DENSE_MAX_DIM, one Bunch-Kaufman LDL^T factor of H - tau I at the
+kernel threshold tau counts the kernel by Sylvester's law, gives its basis by
+inverse iteration and the gap by shift-invert Lanczos (Ericsson and Ruhe);
+above DENSE_MAX_DIM it is refused. Operators are sparse matrices or
+ndarrays, never matrix-free, and nothing larger than DENSE_MAX_DIM is
+densified. ``_eigsh`` is the one ARPACK call: seeded, on one BLAS thread
+(dense LAPACK outside its loop, factorizations included, keeps its threads),
+stopped at LANCZOS_RTOL for a gap, its scale and the rewrite margin, and at
+machine precision otherwise (certificate constants, the lambda_max(H) from
+which both rewrite margins take their scales, the Cholesky-certified
+margin). Tolerances are module constants.
 Solves do not always rerun bit for bit: on a degenerate largest eigenvalue,
 as in the 2D scale of ``prop2d_margin``, ARPACK has been seen to change in
 its last bits, real (``dsaupd``) and complex (``znaupd``) alike, from
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cholesky
+from scipy.linalg import LinAlgError, cholesky, get_lapack_funcs
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from ._blas import single_thread
@@ -53,17 +58,18 @@ from .operators import (
 
 # size limits (Hilbert-space dimensions; assembly is capped by operators.MAX_ED_DIM)
 DENSE_MAX_DIM = 8192  # the largest matrix ffgap densifies; the kernel recursion's cap
-KERNEL_DENSE_CUTOFF = 512  # spectral_gap with a kernel basis: dense up to here, deflated above
+KERNEL_DENSE_CUTOFF = 512  # spectral_gap: dense up to here; above, deflated or shift-invert
 
 ZERO_TOL = 1e-10  # a gap's kernel threshold is ZERO_TOL * max(1, lambda_max)
 RESIDUAL_RTOL = 1e-8
-LANCZOS_RTOL = 1e-12  # ARPACK stopping tolerance of a deflated gap, its scale, a rewrite margin
+LANCZOS_RTOL = 1e-12  # ARPACK stopping tolerance of a Lanczos gap, its scale, a rewrite margin
 MARGIN_RTOL = 1e-9  # an inequality holds when its margin is >= -MARGIN_RTOL * scale
 NULL_SVD_TOL = math.sqrt(ZERO_TOL)  # kernel recursion: a column of energy <= ZERO_TOL is kernel
 BUFFER_SVD_TOL = 1e-2  # kernel recursion: columns of energy up to BUFFER_SVD_TOL^2 are kept
 LANCZOS_SEED = 20180123
 _ARPACK_MAXITER = 5000
-DEFLATED_RESTARTS = 200  # Lanczos restarts of a deflated gap before falling back to dense
+_INVERSE_STEPS = 3  # block inverse-iteration steps of a kernel-less gap's kernel basis
+DEFLATED_RESTARTS = 200  # Lanczos restarts of a deflated or shift-invert gap before going dense
 
 
 @dataclass(frozen=True)
@@ -74,8 +80,10 @@ class GapReport:
     ZERO_TOL * max(1, lambda_max), or +inf when no eigenvalue exceeds it
     (zero operator). ``residual`` is the eigenpair residual of the gap
     relative to the scale s = max(1, lambda_max) (0 for dense computations).
-    ``method`` is "dense" or "deflated": the least eigenvalue of H + s Pi_K
-    by the shifted Lanczos solve. ``zero_tol`` records ZERO_TOL.
+    ``method`` is "dense", "deflated" (the least eigenvalue of H + s Pi_K
+    by the shifted Lanczos solve, from a kernel basis) or "shift_invert"
+    (without one: from an LDL^T factor of H - tau I, ``_factor_report``).
+    ``zero_tol`` records ZERO_TOL.
     """
 
     dim: int
@@ -178,23 +186,13 @@ def _largest_eigenvalue(apply, dim, dtype, tol: float = 0.0) -> float:
     return float(_eigsh(apply, dim, dtype, tol, return_eigenvectors=False)[0])
 
 
-def _least_eigenvalue(
-    apply, dim, dtype, scale: float, tol: float = 0.0, restarts: int = _ARPACK_MAXITER
-) -> tuple[float, float]:
-    """(theta, residual): the least eigenvalue of a Hermitian operator, by one Lanczos solve.
+def _rayleigh(apply, v, scale: float, tol: float) -> tuple[float, float]:
+    """(theta, residual): the Rayleigh quotient Re<v, op v> / <v, v> of a Ritz vector, checked.
 
-    Lanczos runs on shift*I - op with shift = 1.05 * scale + 1, whose target
-    eigenvalue shift - theta is the largest ("LA") and far from zero, so the
-    relative tolerance is meaningful. theta is the Rayleigh quotient
-    Re<v, op v> / <v, v> of the Ritz vector v, not ARPACK's Ritz value: its
-    error is quadratic in the eigenvector's, and as a Rayleigh quotient it
-    is never below the true least eigenvalue. The residual is that of
-    (theta, v), from the same op v, relative to max(1, scale, |theta|); it
-    raises when that exceeds max(RESIDUAL_RTOL, 10 tol).
+    The residual is that of (theta, v), from the same op v, relative to
+    max(1, scale, |theta|); it raises when that exceeds max(RESIDUAL_RTOL,
+    10 tol), so a silently unconverged eigenvalue cannot pass.
     """
-    shift = 1.05 * scale + 1.0
-    _, vecs = _eigsh(lambda v: shift * v - apply(v), dim, dtype, tol, restarts)
-    v = vecs[:, 0]
     image = apply(v)
     theta = float(np.vdot(v, image).real / np.vdot(v, v).real)
     residual = float(np.linalg.norm(image - theta * v)) / max(1.0, scale, abs(theta))
@@ -202,6 +200,23 @@ def _least_eigenvalue(
     if residual > bound:
         raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds {bound:.0e}")
     return theta, residual
+
+
+def _least_eigenvalue(
+    apply, dim, dtype, scale: float, tol: float = 0.0, restarts: int = _ARPACK_MAXITER
+) -> tuple[float, float]:
+    """(theta, residual): the least eigenvalue of a Hermitian operator, by one Lanczos solve.
+
+    Lanczos runs on shift*I - op with shift = 1.05 * scale + 1, whose target
+    eigenvalue shift - theta is the largest ("LA") and far from zero, so the
+    relative tolerance is meaningful. theta is the Rayleigh quotient of the
+    Ritz vector (``_rayleigh``), not ARPACK's Ritz value: its error is
+    quadratic in the eigenvector's, and as a Rayleigh quotient it is never
+    below the true least eigenvalue.
+    """
+    shift = 1.05 * scale + 1.0
+    _, vecs = _eigsh(lambda v: shift * v - apply(v), dim, dtype, tol, restarts)
+    return _rayleigh(apply, vecs[:, 0], scale, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +247,29 @@ def _dense_report(vals: np.ndarray) -> GapReport:
     )
 
 
+def _ritz(H, K: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of K^H H K (none when K has no columns)."""
+    return np.linalg.eigvalsh(K.conj().T @ (H @ K)) if K.shape[1] else np.zeros(0)
+
+
+def _check_kernel(ritz: np.ndarray, threshold: float) -> None:
+    """Raise unless lambda_max(K^H H K), the last of ``ritz``, is at most the kernel threshold."""
+    if len(ritz) and ritz[-1] > threshold:
+        raise RuntimeError(
+            f"kernel basis is not annihilated: lambda_max(K^H H K) = {ritz[-1]:.3e} "
+            f"exceeds the kernel threshold {threshold:.3e}"
+        )
+
+
+def _check_gap(gap: float, threshold: float, k: int) -> None:
+    """Raise when the gap outside a k-dimensional kernel basis is at or below the threshold."""
+    if gap <= threshold:
+        raise RuntimeError(
+            f"H has an eigenvalue {gap:.3e} at or below the kernel threshold {threshold:.3e} "
+            f"outside the {k}-dimensional kernel basis"
+        )
+
+
 def _kernel_report(H, kernel) -> GapReport:
     """Gap of H from a claimed orthonormal kernel basis K, cross-checked both ways.
 
@@ -244,21 +282,12 @@ def _kernel_report(H, kernel) -> GapReport:
     if K.ndim != 2 or K.shape[0] != dim:
         raise ValueError(f"kernel basis must have shape ({dim}, k), got {K.shape}")
     k = K.shape[1]
-    ritz = np.zeros(0)  # eigenvalues of K^H H K
-    if k:
-        ritz = np.linalg.eigvalsh(K.conj().T @ (H @ K))
-
-    def check_kernel(threshold):
-        if k and ritz[-1] > threshold:
-            raise RuntimeError(
-                f"kernel basis is not annihilated: lambda_max(K^H H K) = {ritz[-1]:.3e} "
-                f"exceeds the kernel threshold {threshold:.3e}"
-            )
+    ritz = _ritz(H, K)
 
     def dense_report():
         vals = _eigvalsh(_dense(H))
         report = _dense_report(vals)
-        check_kernel(ZERO_TOL * max(1.0, float(vals[-1])))
+        _check_kernel(ritz, ZERO_TOL * max(1.0, float(vals[-1])))
         if report.kernel_dim != k:
             raise RuntimeError(
                 f"kernel basis has {k} vectors but H has {report.kernel_dim} eigenvalues "
@@ -271,12 +300,12 @@ def _kernel_report(H, kernel) -> GapReport:
 
     if k == dim:
         scale = max(1.0, float(ritz[-1]))
-        check_kernel(ZERO_TOL * scale)
+        _check_kernel(ritz, ZERO_TOL * scale)
         return GapReport(dim, float(ritz[0]), dim, math.inf, "deflated", ZERO_TOL, 0.0)
     lam_max = _largest_eigenvalue(lambda v: H @ v, dim, H.dtype, tol=LANCZOS_RTOL)
     scale = max(1.0, lam_max)
     threshold = ZERO_TOL * scale
-    check_kernel(threshold)
+    _check_kernel(ritz, threshold)
 
     K_h = K.conj().T
     # A gap inside a tight cluster (nearly gapless chains) can take Lanczos
@@ -295,11 +324,7 @@ def _kernel_report(H, kernel) -> GapReport:
         if can_densify:
             return dense_report()
         raise
-    if gap <= threshold:
-        raise RuntimeError(
-            f"H has an eigenvalue {gap:.3e} at or below the kernel threshold {threshold:.3e} "
-            f"outside the {k}-dimensional kernel basis"
-        )
+    _check_gap(gap, threshold, k)
     return GapReport(
         dim=dim,
         ground_energy=float(ritz[0]) if k else gap,
@@ -311,11 +336,101 @@ def _kernel_report(H, kernel) -> GapReport:
     )
 
 
+def _ldl(A: np.ndarray):
+    """(count, solve) from one blocked Bunch-Kaufman factorization A = L D L^H, made in place.
+
+    A is a Hermitian float64 or complex128 array in Fortran order; it is
+    overwritten by the factor (LAPACK ?hetrf/?sytrf on the lower triangle,
+    with the workspace ?hetrf_lwork/?sytrf_lwork asks for: the default one
+    runs unblocked). ``count`` is the number of negative eigenvalues of A,
+    by Sylvester's law those of D's 1x1 and 2x2 pivot blocks (LAPACK marks
+    a 2x2 block on rows k, k+1 by ipiv[k] = ipiv[k+1] < 0). ``solve(b)``
+    returns A^-1 b (?hetrs/?sytrs). Raises on an exactly singular D.
+    """
+    kind = "he" if np.iscomplexobj(A) else "sy"
+    trf, trf_lwork, trs = get_lapack_funcs((kind + "trf", kind + "trf_lwork", kind + "trs"), (A,))
+    lwork, _ = trf_lwork(A.shape[0], lower=1)
+    ldu, ipiv, info = trf(A, lwork=int(np.real(lwork)), lower=1, overwrite_a=1)
+    if info:
+        raise RuntimeError(f"LDL^T factorization failed: LAPACK info {info}")
+    d = ldu.diagonal().real
+    count, k = 0, 0
+    while k < len(d):
+        if ipiv[k] > 0:
+            count += d[k] < 0
+            k += 1
+        else:
+            mid = (d[k] + d[k + 1]) / 2
+            radius = math.hypot((d[k] - d[k + 1]) / 2, abs(ldu[k + 1, k]))
+            count += (mid - radius < 0) + (mid + radius < 0)
+            k += 2
+    return int(count), lambda b: trs(ldu, ipiv, b, lower=1)[0]
+
+
+def _factor_report(H) -> GapReport:
+    """Gap of H without a kernel basis, from one LDL^T factor of H - tau I ("shift_invert").
+
+    s = max(1, lambda_max) comes from one Lanczos solve and tau = ZERO_TOL * s
+    is the kernel threshold. One LDL^T factorization of H - tau I (``_ldl``),
+    made in place on the one dense copy, counts the k eigenvalues below tau.
+    _INVERSE_STEPS steps of seeded block inverse iteration on the factor give
+    a kernel basis K, which must pass lambda_max(K^H H K) <= tau. The
+    largest eigenvalue of Pi (H - tau I)^-1 Pi, with Pi = I - K K^H, is
+    1/(gap - tau), far from zero; the gap is the Rayleigh quotient under H
+    of its Ritz vector, from one Lanczos solve, with the residual check of
+    ``_rayleigh``. The count and the Ritz check cross-check the kernel both
+    ways. An ARPACK failure goes dense; any other failed check raises. The
+    zero operator is all kernel without a solve.
+    """
+    dim = H.shape[0]
+    if not (H.data if sp.issparse(H) else H).any():
+        return GapReport(dim, 0.0, dim, math.inf, "shift_invert", ZERO_TOL, 0.0)
+    dtype = np.result_type(H.dtype, np.float64)
+    try:
+        lam_max = _largest_eigenvalue(lambda v: H @ v, dim, dtype, tol=LANCZOS_RTOL)
+        scale = max(1.0, lam_max)
+        tau = ZERO_TOL * scale
+        A = (H.toarray(order="F") if sp.issparse(H) else np.array(H, order="F")).astype(
+            dtype, copy=False
+        )
+        A[np.diag_indices(dim)] -= tau
+        k, solve = _ldl(A)
+        K = np.random.default_rng(LANCZOS_SEED).standard_normal((dim, k)).astype(dtype)
+        for _ in range(_INVERSE_STEPS):
+            K = np.linalg.qr(solve(K))[0]
+        ritz = _ritz(H, K)
+        _check_kernel(ritz, tau)
+        if k == dim:
+            return GapReport(dim, float(ritz[0]), dim, math.inf, "shift_invert", ZERO_TOL, 0.0)
+
+        K_h = K.conj().T
+
+        def project(v):
+            return v - K @ (K_h @ v)
+
+        _, vecs = _eigsh(
+            lambda v: project(solve(project(v))), dim, dtype, LANCZOS_RTOL, DEFLATED_RESTARTS
+        )
+        gap, residual = _rayleigh(lambda v: H @ v, vecs[:, 0], scale, LANCZOS_RTOL)
+    except ArpackError:
+        return _dense_report(_eigvalsh(_dense(H)))
+    _check_gap(gap, tau, k)
+    return GapReport(
+        dim=dim,
+        ground_energy=float(ritz[0]) if k else gap,
+        kernel_dim=k,
+        gap=gap,
+        method="shift_invert",
+        zero_tol=ZERO_TOL,
+        residual=residual,
+    )
+
+
 def spectral_gap(op, kernel=None) -> GapReport:
     """Ground energy, kernel dimension, and spectral gap of a PSD operator.
 
     The gap is the smallest eigenvalue exceeding the kernel threshold
-    ZERO_TOL * max(1, lambda_max). Deflated runs raise if the residual of
+    ZERO_TOL * max(1, lambda_max). Lanczos runs raise if the residual of
     the gap eigenpair exceeds RESIDUAL_RTOL relative to the spectral scale.
 
     ``kernel`` is an orthonormal basis (dim x k) of the claimed kernel, as
@@ -327,12 +442,17 @@ def spectral_gap(op, kernel=None) -> GapReport:
     The gap solve goes dense after DEFLATED_RESTARTS restarts up to
     DENSE_MAX_DIM.
 
-    Without ``kernel`` the gap is dense up to DENSE_MAX_DIM, and refused
-    above it. ``op`` is a sparse matrix or an ndarray.
+    Without ``kernel`` the gap is dense up to dimension 512. Above it, up to
+    DENSE_MAX_DIM, one LDL^T factor of H - tau I counts the kernel, gives its
+    basis by inverse iteration and the gap by a shift-invert Lanczos solve
+    (``_factor_report``, "shift_invert"); above DENSE_MAX_DIM it is refused.
+    ``op`` is a sparse matrix or an ndarray.
     """
     H = _matrix(op)
     if kernel is not None:
         return _kernel_report(H, kernel)
+    if KERNEL_DENSE_CUTOFF < H.shape[0] <= DENSE_MAX_DIM:
+        return _factor_report(H)
     return _dense_report(_eigvalsh(_dense(H)))
 
 

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 import ffgap
 from ffgap import spectra
@@ -21,7 +22,7 @@ from ffgap.cli import build_parser
 from ffgap.coefficients import SQRT6, coeffs_1d
 from ffgap.criteria import SuiteConfig, rewrite_margin
 from ffgap.lattice import InteractionShape, box_region, rhomboid_sites
-from ffgap.models import ModelSpec, commuting_cell_2d, random_cell_2d, random_ff
+from ffgap.models import ModelSpec, aklt, commuting_cell_2d, random_cell_2d, random_ff, singlet_chain
 from ffgap.operators import (
     ChainModel,
     InteractionCell,
@@ -62,6 +63,23 @@ class TestSpectralGap:
         assert math.isinf(report.gap)
         assert report.kernel_dim == 8
 
+    def test_zero_operator_above_the_cutoff_needs_no_solve(self, monkeypatch):
+        # ARPACK stops on the zero operator ("starting vector is zero"), so
+        # the factor route must answer before any solve or factorization
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve or a factorization ran")
+
+        monkeypatch.setattr(spectra, "eigsh", refuse)
+        monkeypatch.setattr(spectra, "get_lapack_funcs", refuse)
+        report = spectral_gap(sp.csr_matrix((1024, 1024)))
+        assert (report.method, report.kernel_dim, report.gap) == ("shift_invert", 1024, math.inf)
+
+    def test_positive_definite_operator_above_the_cutoff_has_no_kernel(self):
+        report = spectral_gap(sp.identity(1024, format="csr"))
+        assert (report.method, report.kernel_dim) == ("shift_invert", 0)
+        assert report.gap == pytest.approx(1.0, abs=1e-12)
+        assert report.ground_energy == report.gap
+
     def test_kernel_threshold_scales_with_lambda_max(self):
         # an eigenvalue at 1e-6 with lambda_max 1e6 sits below the relative
         # kernel threshold and must be counted as kernel, not as the gap
@@ -73,6 +91,11 @@ class TestSpectralGap:
         first = chain_gap(aklt_spec.payload, 7)  # 3^7: one deflated Lanczos solve
         assert first.method == "deflated"
         assert chain_gap(aklt_spec.payload, 7) == first
+        # without a kernel basis: seeded inverse iteration and shift-invert solve
+        H = region_hamiltonian(random_cell_2d(2, 2, 13).payload, box_region(5, 2))
+        first = spectral_gap(H)
+        assert first.method == "shift_invert"
+        assert spectral_gap(H) == first
 
     def test_two_level_deflated_gap_equals_lambda_max(self):
         # gap = lambda_max = 1: the deflation shift, from a lambda_max solved to
@@ -133,12 +156,31 @@ class TestPsdMargin:
             seen.append([getter() for _, getter in pools])
             return eigsh(*args, **kwargs)
 
+        factored = []
+        lapack_funcs = spectra.get_lapack_funcs
+
+        def record_lapack(names, arrays):
+            def recorded(name, func):
+                def call(*args, **kwargs):
+                    factored.append((name, [getter() for _, getter in pools]))
+                    return func(*args, **kwargs)
+
+                return call
+
+            return [recorded(n, f) for n, f in zip(names, lapack_funcs(names, arrays))]
+
         monkeypatch.setattr(spectra, "eigsh", record)
+        monkeypatch.setattr(spectra, "get_lapack_funcs", record_lapack)
         # lambda_max and the deflated solve, twice; the certified margin's least
         region_gap(commuting_cell_spec.payload, box_region(3, 4))
         chain_gap(aklt_spec.payload, 7)
         certified_margin(diag_operator(np.linspace(-1.0, 1.0, 50)), 1.0)
         assert len(seen) == 5
+        # a kernel-less gap above 512: lambda_max and the shift-invert solve,
+        # around one LDL^T factorization, which is dense LAPACK and keeps its threads
+        spectral_gap(region_hamiltonian(random_cell_2d(2, 2, 13).payload, box_region(5, 2)))
+        assert len(seen) == 7
+        assert [sizes for name, sizes in factored if name.endswith("trf")] == [[2] * len(pools)]
         # the rewrite margin's scale and margin are spectra's solves too
         before = len(seen)
         rewrite_margin(random_chain_d2.payload, 8, coeffs_1d(4, SQRT6))
@@ -627,7 +669,87 @@ def test_kernel_and_gap_match_dense_ed_on_random_cells(cell):
         assert report.gap == pytest.approx(gap, abs=1e-10 * scale), region.sites
 
 
-EIGENSOLVERS = {"eigsh", "eigs", "eigh", "eigvalsh", "eigvals", "svd", "cholesky"}
+# kernel-less gaps above KERNEL_DENSE_CUTOFF: (operator, kernel dimension)
+KERNEL_LESS_CASES = {
+    "random_d2_box_5x2": (
+        lambda: region_hamiltonian(random_cell_2d(2, 2, 13).payload, box_region(5, 2)), 1),
+    "random_d3_box_6x1": (
+        lambda: region_hamiltonian(random_cell_2d(3, 2, 14).payload, box_region(6, 1)), 1),
+    "commuting_box_5x2": (
+        lambda: region_hamiltonian(commuting_cell_2d().payload, box_region(5, 2)), 1),
+    "aklt_7": (lambda: chain_hamiltonian(aklt().payload, 7), 4),
+    "singlet_10": (lambda: chain_hamiltonian(singlet_chain().payload, 10), 11),
+    # gap 5.4e-6, next eigenvalue 1.0e-5
+    "clustered_chain_10": (
+        lambda: chain_hamiltonian(random_ff(2, 1, 0, 181, ff_check_depth=4).payload, 10), 11),
+    # gap 2.1e-7
+    "bonds_rhomboid_3_1": (
+        lambda: region_hamiltonian(bond_cell(1, 629), rhomboid_sites(3, 1, 1)[0]), 2),
+}
+
+
+@pytest.mark.parametrize("case", KERNEL_LESS_CASES)
+def test_kernel_less_gap_matches_dense_ed(case):
+    build, kernel_dim = KERNEL_LESS_CASES[case]
+    H = build()
+    assert spectra.KERNEL_DENSE_CUTOFF < H.shape[0] <= 3**7
+    vals = np.linalg.eigvalsh(H.toarray())
+    scale = max(1.0, float(vals[-1]))
+    above = vals > 1e-10 * scale
+    report = spectral_gap(H)
+    assert report.method == "shift_invert"
+    assert report.kernel_dim == int((~above).sum()) == kernel_dim
+    assert report.gap == pytest.approx(float(vals[above].min()), abs=1e-12 * scale)
+
+
+def test_kernel_less_arpack_failure_goes_dense(monkeypatch, singlet_spec):
+    calls = []
+
+    def fail_the_gap_solve(*args, **kwargs):
+        calls.append(kwargs["which"])
+        if len(calls) == 2:  # after lambda_max, the shift-invert solve
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "eigsh", fail_the_gap_solve)
+    report = spectral_gap(chain_hamiltonian(singlet_spec.payload, 10))
+    assert (report.method, report.kernel_dim) == ("dense", 11)
+    assert report.gap == pytest.approx(1.0 - math.cos(math.pi / 10), abs=1e-10)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_inertia_count_matches_eigenvalue_count(dtype):
+    """The LDL^T count of negative eigenvalues, with 2x2 pivots, between and inside clusters."""
+    # [[0, B], [B^H, 0]] has the eigenvalues +-sigma(B): clusters of 20 at 1,
+    # 2 and 3 spaced by 1e-4, and +-1000, whose large entries keep the
+    # shifted diagonal blocks small enough to force 2x2 pivots at every shift
+    rng = np.random.default_rng(11)
+    p = 61
+    sigma = np.concatenate([c + 1e-4 * np.arange(20) for c in (1.0, 2.0, 3.0)] + [[1e3]])
+
+    def unitary():
+        g = rng.standard_normal((p, p)).astype(dtype)
+        if dtype == np.complex128:
+            g += 1j * rng.standard_normal((p, p))
+        return np.linalg.qr(g)[0]
+
+    B = unitary() @ np.diag(sigma) @ unitary().conj().T
+    M = np.block([[np.zeros((p, p)), B], [B.conj().T, np.zeros((p, p))]])
+    vals = np.linalg.eigvalsh(M)
+    between = [0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 3.5, -3.5]
+    inside = [1.00055, -1.00155, 2.00105, -2.00005, 3.00185, -3.00095]
+    b = rng.standard_normal(2 * p).astype(dtype)
+    for shift in between + inside:
+        shifted = M - shift * np.eye(2 * p)
+        assert np.diag(scipy.linalg.ldl(shifted)[1], -1).any(), shift  # 2x2 pivots
+        count, solve = spectra._ldl(np.asfortranarray(shifted))
+        assert count == int((vals < shift).sum()), shift
+        assert np.allclose(shifted @ solve(b), b, atol=1e-9)
+
+
+EIGENSOLVERS = {"eigsh", "eigs", "eigh", "eigvalsh", "eigvals", "svd", "cholesky", "ldl", "hetrf",
+                "sytrf", "hetrs", "sytrs", "get_lapack_funcs"}
 
 
 @pytest.mark.parametrize(
